@@ -1,4 +1,11 @@
-//! 32 adversarial golden configurations pinning the analytic engine.
+//! Adversarial golden configurations pinning the analytic engine.
+//!
+//! Two sets. The first (32 configs) boots a matmul background VM on each
+//! host, so demand ripples and every tick runs the full prelude. The
+//! second (30 configs) keeps every VM at constant demand — pagedirtier
+//! backgrounds and migrants — so the engine steps the quiet stretches of
+//! each phase as spans; it adds light link faults and a tick that does
+//! not divide the pre-run length to the variants below.
 //!
 //! Each config stresses a boundary the closed-form integration must get
 //! exactly right — tiny ticks, zero-duration phases, a dirty rate
@@ -34,9 +41,17 @@ const REL_TOL: f64 = 1e-12;
 /// Absolute floor below which two numbers are considered equal.
 const ABS_TOL: f64 = 1e-9;
 
-const GOLDEN: &str = "analytic_adversarial.txt";
+/// Which background VM each host boots.
+#[derive(Debug, Clone, Copy)]
+enum Background {
+    /// A phase-shifted matmul: oscillating demand, live CPU coupling.
+    Ripple,
+    /// A pagedirtier: constant demand and write rate.
+    Constant,
+}
 
-/// The four base (mechanism, migrant-workload) combinations.
+/// The four base (mechanism, migrant-workload) combinations of the
+/// ripple set.
 #[derive(Debug, Clone, Copy)]
 struct Base {
     name: &'static str,
@@ -73,6 +88,25 @@ struct Variant {
     name: &'static str,
     apply: fn(&mut MigrationConfig, &mut Option<f64>),
 }
+
+/// The constant-host set: a pagedirtier migrant for every mechanism.
+const CONSTANT_BASES: [Base; 3] = [
+    Base {
+        name: "live-mem",
+        kind: MigrationKind::Live,
+        mem_ratio: Some(0.8),
+    },
+    Base {
+        name: "nonlive-mem",
+        kind: MigrationKind::NonLive,
+        mem_ratio: Some(0.5),
+    },
+    Base {
+        name: "postcopy-mem",
+        kind: MigrationKind::PostCopy,
+        mem_ratio: Some(0.4),
+    },
+];
 
 const VARIANTS: [Variant; 8] = [
     Variant {
@@ -150,7 +184,27 @@ const VARIANTS: [Variant; 8] = [
     },
 ];
 
-fn run_config(base: Base, variant: &Variant, seed: u64) -> MigrationRecord {
+/// Variants only the constant-host set adds.
+const CONSTANT_VARIANTS: [Variant; 2] = [
+    Variant {
+        // Seeded link-degradation windows: bandwidth changes mid-round.
+        name: "light-faults",
+        apply: |cfg, _| cfg.faults = FaultConfig::light(),
+    },
+    Variant {
+        // A tick that divides neither `ms` nor any phase length, so the
+        // first tick straddles `ms` and phase edges fall mid-tick.
+        name: "odd-tick",
+        apply: |cfg, _| cfg.timing.tick = SimDuration::from_micros(70_001),
+    },
+];
+
+fn run_config(
+    base: Base,
+    variant: &Variant,
+    background: Background,
+    seed: u64,
+) -> MigrationRecord {
     let mut cfg = MigrationConfig::new(base.kind);
     cfg.path = SimulationPath::Analytic;
     let mut mem_ratio = base.mem_ratio;
@@ -175,11 +229,21 @@ fn run_config(base: Base, variant: &Variant, seed: u64) -> MigrationRecord {
             workloads.insert(vm, Arc::new(MatMulWorkload::full(4)));
         }
     }
-    // One oscillating background VM on each side so CPU coupling is live.
+    // One background VM on each side so CPU coupling is live.
     let bg_src = cluster.boot_vm(src, vm_instances::load_cpu());
-    workloads.insert(bg_src, Arc::new(MatMulWorkload::full(4).with_phase(0.137)));
     let bg_dst = cluster.boot_vm(dst, vm_instances::load_cpu());
-    workloads.insert(bg_dst, Arc::new(MatMulWorkload::full(4).with_phase(0.41)));
+    let (w_src, w_dst): (Arc<dyn Workload>, Arc<dyn Workload>) = match background {
+        Background::Ripple => (
+            Arc::new(MatMulWorkload::full(4).with_phase(0.137)),
+            Arc::new(MatMulWorkload::full(4).with_phase(0.41)),
+        ),
+        Background::Constant => (
+            Arc::new(PageDirtierWorkload::with_ratio(0.3)),
+            Arc::new(PageDirtierWorkload::with_ratio(0.6)),
+        ),
+    };
+    workloads.insert(bg_src, w_src);
+    workloads.insert(bg_dst, w_dst);
 
     MigrationSimulation::new(cluster, workloads, vm, src, dst, cfg, RngFactory::new(seed)).run()
 }
@@ -211,10 +275,10 @@ fn render(name: &str, r: &MigrationRecord) -> String {
     )
 }
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(GOLDEN)
+        .join(file)
 }
 
 fn cells_match(golden: &str, actual: &str) -> bool {
@@ -230,25 +294,17 @@ fn cells_match(golden: &str, actual: &str) -> bool {
     }
 }
 
-#[test]
-fn adversarial_configs_match_their_goldens() {
-    let mut actual = String::new();
-    for (bi, base) in BASES.iter().enumerate() {
-        for (vi, variant) in VARIANTS.iter().enumerate() {
-            let r = run_config(*base, variant, 1000 + (bi * VARIANTS.len() + vi) as u64);
-            let name = format!("{}/{}", base.name, variant.name);
-            actual.push_str(&render(&name, &r));
-        }
-    }
-
-    let path = golden_path();
+/// Compare `actual` with the golden `file` cell by cell (or rewrite it
+/// under `UPDATE_GOLDEN`).
+fn check_golden(file: &str, configs: usize, actual: &str) {
+    let path = golden_path(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("write golden file");
+        std::fs::write(&path, actual).expect("write golden file");
         return;
     }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
         panic!(
-            "missing golden file {GOLDEN}; regenerate with \
+            "missing golden file {file}; regenerate with \
              UPDATE_GOLDEN=1 cargo test --test golden_analytic"
         )
     });
@@ -262,11 +318,7 @@ fn adversarial_configs_match_their_goldens() {
         g_lines.len(),
         a_lines.len()
     );
-    assert_eq!(
-        a_lines.len(),
-        32,
-        "the adversarial matrix is 4 bases x 8 variants"
-    );
+    assert_eq!(a_lines.len(), configs, "{file}: bases x variants");
     for (gl, al) in g_lines.iter().zip(&a_lines) {
         let gt: Vec<&str> = gl.split_whitespace().collect();
         let at: Vec<&str> = al.split_whitespace().collect();
@@ -290,4 +342,33 @@ fn adversarial_configs_match_their_goldens() {
             );
         }
     }
+}
+
+#[test]
+fn adversarial_configs_match_their_goldens() {
+    let mut actual = String::new();
+    for (bi, base) in BASES.iter().enumerate() {
+        for (vi, variant) in VARIANTS.iter().enumerate() {
+            let seed = 1000 + (bi * VARIANTS.len() + vi) as u64;
+            let r = run_config(*base, variant, Background::Ripple, seed);
+            let name = format!("{}/{}", base.name, variant.name);
+            actual.push_str(&render(&name, &r));
+        }
+    }
+    check_golden("analytic_adversarial.txt", 32, &actual);
+}
+
+#[test]
+fn constant_host_configs_match_their_goldens() {
+    let mut actual = String::new();
+    let variants: Vec<&Variant> = VARIANTS.iter().chain(&CONSTANT_VARIANTS).collect();
+    for (bi, base) in CONSTANT_BASES.iter().enumerate() {
+        for (vi, variant) in variants.iter().enumerate() {
+            let seed = 2000 + (bi * variants.len() + vi) as u64;
+            let r = run_config(*base, variant, Background::Constant, seed);
+            let name = format!("{}/{}", base.name, variant.name);
+            actual.push_str(&render(&name, &r));
+        }
+    }
+    check_golden("analytic_constant_hosts.txt", 30, &actual);
 }
