@@ -22,7 +22,17 @@
 //!   mutation, no per-tick map lookups), demand curves come from
 //!   [`WorkloadProfile`]s (sinusoid ripple advanced by a unit rotation
 //!   per tick), and `u^e` / `exp` in the inner loop are served from
-//!   small memo/Taylor caches.
+//!   small memo/Taylor caches;
+//! * when every VM on both hosts has constant demand, power is constant
+//!   between events (Eqs. 5–7 are linear in their inputs within a
+//!   phase), so the quiet ticks between events are stepped as *spans*.
+//!   A span runs until the next stage edge, post-copy handover, abort,
+//!   link-window edge or horizon, and stops before any tick that would
+//!   complete a round or straddle a phase window. Its ticks replay only
+//!   the state updates — bytes moved, the dirty-page recurrence, and the
+//!   cached power terms accumulated per tick — with the same float
+//!   operations in the same order, so results are bit-identical to
+//!   ticking. Any tick outside a span takes the full prelude.
 //!
 //! ## Known, documented approximations (all bounded or zero-mean)
 //!
@@ -629,10 +639,11 @@ pub(crate) fn run_analytic_reusing(
     // demand refresh, CPU allocation, coupled bandwidth, power terms — is
     // invariant between state-changing events: stage boundaries, suspend /
     // resume / relocation, post-copy demand ramp, fault-window edges.
-    // `cache_dirty` marks those events; the ticks in between reuse the
-    // previous tick's values, which are bit-identical to recomputation
-    // because every input is unchanged. Oscillating or `General` demand
-    // curves keep `cache_dirty` latched, i.e. the full per-tick prelude.
+    // `cache_dirty` marks those events; the ticks in between are stepped
+    // as spans that reuse the last full tick's values, bit-identical to
+    // recomputation because every input is unchanged. Oscillating or
+    // `General` demand curves keep `cache_dirty` latched, i.e. the full
+    // per-tick prelude.
     let host_const = |h: &HostState| {
         h.slots.iter().all(|s| {
             matches!(s.cpu, CpuCurve::Constant(_))
@@ -662,8 +673,6 @@ pub(crate) fn run_analytic_reusing(
     let mut c_src_wrf = 0.0;
     let mut c_dst_wrf = 0.0;
     let mut c_migrant_factor = f64::NAN;
-    let mut c_fault_factor = 1.0;
-    let mut c_bw_base = 0.0;
     let mut c_bw = 0.0;
     let mut c_migrant_wr = 0.0;
     let mut c_src_alloc = CpuAccounting::default().allocate(1.0);
@@ -680,6 +689,7 @@ pub(crate) fn run_analytic_reusing(
     let mut ticks_full: u64 = 0;
     let mut ticks_fast: u64 = 0;
     let mut ticks_semi: u64 = 0;
+    let mut spans: u64 = 0;
 
     let _perf_ticks = wavm3_obs::perf::scope("analytic.tick_loop");
     loop {
@@ -786,11 +796,9 @@ pub(crate) fn run_analytic_reusing(
 
         let stage_at_prelude = stage;
         let mut sums_stale = false;
-        let mut fresh_terms;
         let mut semi_partial = false;
-        let mut have_sums = false;
-        let mut src_wr_fold = 0.0;
-        let mut dst_wr_fold = 0.0;
+        let src_wr_fold;
+        let dst_wr_fold;
         let migrant_wr;
         let src_alloc;
         let dst_alloc;
@@ -853,19 +861,13 @@ pub(crate) fn run_analytic_reusing(
                 if fault_factor < 1.0 {
                     note_link_windows(&fault_plan, &mut link_window_seen, &mut fault_events, now);
                 }
-                // Split so cached ticks can re-apply a moved fault factor
-                // with the same rounding: `(base * factor).min(cap)`.
                 let base = link.effective_bandwidth(src_alloc.scale, dst_alloc.scale) * free_line;
-                c_bw_base = base;
-                c_fault_factor = fault_factor;
                 let bw = base * fault_factor;
                 match cfg.precopy.rate_limit_bps {
                     Some(cap) => bw.min(cap.max(1.0)),
                     None => bw,
                 }
             } else {
-                c_bw_base = 0.0;
-                c_fault_factor = 1.0;
                 0.0
             };
 
@@ -880,37 +882,9 @@ pub(crate) fn run_analytic_reusing(
             c_dst_running = dst_sums.running;
             c_src_wrf = src_sums.write_rate;
             c_dst_wrf = dst_sums.write_rate;
-            have_sums = true;
             src_wr_fold = src_sums.write_rate;
             dst_wr_fold = dst_sums.write_rate;
-            fresh_terms = true;
             cache_dirty = !semi_ok;
-        } else if fast_ok {
-            // Cached tick: every prelude input is unchanged by
-            // construction; only the fault factor is time-dependent.
-            ticks_fast += 1;
-            migrant_wr = c_migrant_wr;
-            src_alloc = c_src_alloc;
-            dst_alloc = c_dst_alloc;
-            src_bg = c_src_bg;
-            dst_bg = c_dst_bg;
-            fresh_terms = false;
-            if stage == Stage::Transfer {
-                let fault_factor = fault_plan.bandwidth_factor_at(now);
-                if fault_factor < 1.0 {
-                    note_link_windows(&fault_plan, &mut link_window_seen, &mut fault_events, now);
-                }
-                if fault_factor != c_fault_factor {
-                    c_fault_factor = fault_factor;
-                    let bw = c_bw_base * fault_factor;
-                    c_bw = match cfg.precopy.rate_limit_bps {
-                        Some(cap) => bw.min(cap.max(1.0)),
-                        None => bw,
-                    };
-                    fresh_terms = true;
-                }
-            }
-            current_bw = c_bw;
         } else {
             // Semi-cached tick (oscillating demand, constant folds):
             // advance the curves and re-fold `vm_cores`, reuse everything
@@ -979,8 +953,6 @@ pub(crate) fn run_analytic_reusing(
             c_bw = current_bw;
             src_wr_fold = c_src_wrf;
             dst_wr_fold = c_dst_wrf;
-            have_sums = true;
-            fresh_terms = true;
         }
 
         // --- Advance the transfer within this tick (may cross rounds). ---
@@ -1145,7 +1117,7 @@ pub(crate) fn run_analytic_reusing(
             c_src_terms = s;
             c_dst_terms = d;
             (s, d)
-        } else if fresh_terms || sums_stale || stage_moved {
+        } else {
             let migr_nic = link.line_utilisation(current_bw);
             let src_nic_util = (migr_nic + src_bg).min(1.0);
             let dst_nic_util = (migr_nic + dst_bg).min(1.0);
@@ -1164,11 +1136,9 @@ pub(crate) fn run_analytic_reusing(
                 0.0
             };
             // The memory-activity term reads the post-sub-loop placement;
-            // when the sub-loop suspended or relocated the migrant — or
-            // the tick has no fresh sums in scope — re-fold the write
-            // rates (on constant-curve hosts, the only ones that reach a
-            // cached prelude, the re-fold is bit-identical to the fold).
-            let (src_wr, dst_wr) = if have_sums && !sums_stale {
+            // when the sub-loop suspended or relocated the migrant,
+            // re-fold the write rates.
+            let (src_wr, dst_wr) = if !sums_stale {
                 (src_wr_fold, dst_wr_fold)
             } else {
                 (hsrc.write_rate_sum(now), hdst.write_rate_sum(now))
@@ -1196,8 +1166,6 @@ pub(crate) fn run_analytic_reusing(
             c_src_terms = s;
             c_dst_terms = d;
             (s, d)
-        } else {
-            (c_src_terms, c_dst_terms)
         };
 
         // --- Exact window attribution of this tick's constant power. ---
@@ -1226,11 +1194,102 @@ pub(crate) fn run_analytic_reusing(
         }
 
         now += dt;
+
+        // --- Span stepping on constant hosts (see the module docs). ---
+        // A tick that ends with a clean cache leaves the prelude and power
+        // terms of the following ticks unchanged until the next event, so
+        // those ticks replay only their state updates — the loop's own float
+        // operations in the same order, which keeps every result
+        // bit-identical (a closed form `terms·n·dt` would round differently).
+        // Post-copy transfer never qualifies: its demand ramp moves each tick.
+        if fast_ok {
+            let ramping = cfg.kind == MigrationKind::PostCopy && stage == Stage::Transfer;
+            if !cache_dirty && stage != Stage::Pre && !ramping {
+                let now_us = now.as_micros();
+                // A span tick starts before the next event ...
+                let mut start_lim = horizon.as_micros();
+                if cfg.kind == MigrationKind::PostCopy && migrant_on_target && resume_time.is_none()
+                {
+                    start_lim = start_lim.min((ts + cfg.timing.postcopy_handover).as_micros());
+                }
+                if let Some(t) = fault_plan.abort_at() {
+                    if !aborted && stage != Stage::Activation && !migrant_on_target {
+                        start_lim = start_lim.min(t.as_micros());
+                    }
+                }
+                if stage == Stage::Transfer {
+                    for w in fault_plan.link_windows() {
+                        for edge in [w.window.start, w.window.end] {
+                            if edge.as_micros() + dt_us > now_us {
+                                start_lim = start_lim.min(edge.as_micros());
+                            }
+                        }
+                    }
+                }
+                // ... and lies inside the phase window it is attributed to.
+                let (w, lo, hi) = match stage {
+                    Stage::Initiation => (0, ms, Some(ts)),
+                    Stage::Transfer => (1, ts, None),
+                    _ => (2, te.expect("te set"), me),
+                };
+                let n = if now < lo {
+                    0
+                } else {
+                    let hi_us = hi.map_or(u64::MAX, SimTime::as_micros);
+                    (start_lim.saturating_sub(now_us).div_ceil(dt_us))
+                        .min(hi_us.saturating_sub(now_us) / dt_us)
+                };
+                let secs = dt_us as f64 / 1e6;
+                let mut k = 0;
+                if stage == Stage::Transfer {
+                    // Stop before any tick that would complete or split a
+                    // round: the sub-loop's full-step guard, per tick.
+                    let x = xfer.as_mut().expect("transfer state exists");
+                    let full_tick = c_bw * dt_s;
+                    let dirtying = cfg.kind == MigrationKind::Live
+                        && migrant_running
+                        && migrant_ws_pages >= 1.0;
+                    let decay = if dirtying {
+                        dirty_exp.eval(-c_migrant_wr * dt_s / migrant_ws_pages)
+                    } else {
+                        0.0
+                    };
+                    while k < n
+                        && c_bw > 0.0
+                        && x.remaining_bytes > full_tick * 1.000_000_1
+                        && x.remaining_bytes - full_tick > 0.5
+                    {
+                        x.remaining_bytes -= full_tick;
+                        x.round_bytes_sent += full_tick;
+                        total_bytes += full_tick;
+                        if dirtying {
+                            dirty_pages =
+                                migrant_ws_pages - (migrant_ws_pages - dirty_pages) * decay;
+                        }
+                        int_src[w].accumulate(&c_src_terms, secs);
+                        int_dst[w].accumulate(&c_dst_terms, secs);
+                        k += 1;
+                    }
+                } else {
+                    for _ in 0..n {
+                        int_src[w].accumulate(&c_src_terms, secs);
+                        int_dst[w].accumulate(&c_dst_terms, secs);
+                    }
+                    k = n;
+                }
+                now += SimDuration::from_micros(k * dt_us);
+                ticks_fast += k;
+                spans += u64::from(k > 0);
+            }
+            // Whatever ends the span takes the full prelude.
+            cache_dirty = true;
+        }
     }
     drop(_perf_ticks);
     wavm3_obs::perf::counter_add("analytic.tick_cache.full", ticks_full);
     wavm3_obs::perf::counter_add("analytic.tick_cache.fast_hit", ticks_fast);
     wavm3_obs::perf::counter_add("analytic.tick_cache.semi_hit", ticks_semi);
+    wavm3_obs::perf::counter_add("analytic.tick_cache.spans", spans);
     let _perf_finalise = wavm3_obs::perf::scope("analytic.finalise");
 
     let te = te.expect("transfer completed");

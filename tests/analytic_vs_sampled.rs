@@ -379,6 +379,20 @@ fn analytic_matches_sampled_across_the_kind_and_fault_matrix() {
             run_pair_and_assert(&tag, setup, cfg, 7 + (ki * 3 + pi) as u64);
         }
     }
+    // Constant-host rows: no matmul VM anywhere, so the analytic engine
+    // steps the quiet stretches of every phase as spans.
+    let constant = Setup {
+        load_src: 0,
+        load_dst: 0,
+        mem_ratio: Some(0.6),
+    };
+    for (ki, kind) in kinds.into_iter().enumerate() {
+        for (pi, (plan_name, faults)) in plans.iter().enumerate() {
+            let cfg = MigrationConfig::with_faults(kind, *faults);
+            let tag = format!("{}/{}/{:?}", kind.label(), plan_name, constant);
+            run_pair_and_assert(&tag, constant, cfg, 40 + (ki * 3 + pi) as u64);
+        }
+    }
 }
 
 proptest! {

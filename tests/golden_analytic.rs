@@ -29,8 +29,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use wavm3::cluster::{hardware, vm_instances, Cluster, Link, VmId};
 use wavm3::faults::{AbortFault, FaultConfig};
+use wavm3::migration::simulation::PEAK_PAGE_WRITE_RATE;
 use wavm3::migration::{
-    MigrationConfig, MigrationKind, MigrationRecord, MigrationSimulation, SimulationPath,
+    EnvNoise, MigrationConfig, MigrationKind, MigrationRecord, MigrationSimulation, SimulationPath,
 };
 use wavm3::simkit::{RngFactory, SimDuration, SimTime};
 use wavm3::workloads::{MatMulWorkload, PageDirtierWorkload, Workload};
@@ -199,12 +200,7 @@ const CONSTANT_VARIANTS: [Variant; 2] = [
     },
 ];
 
-fn run_config(
-    base: Base,
-    variant: &Variant,
-    background: Background,
-    seed: u64,
-) -> MigrationRecord {
+fn run_config(base: Base, variant: &Variant, background: Background, seed: u64) -> MigrationRecord {
     let mut cfg = MigrationConfig::new(base.kind);
     cfg.path = SimulationPath::Analytic;
     let mut mem_ratio = base.mem_ratio;
@@ -371,4 +367,82 @@ fn constant_host_configs_match_their_goldens() {
         }
     }
     check_golden("analytic_constant_hosts.txt", 30, &actual);
+}
+
+/// Hand-computed oracle: a non-live migration of a constant pagedirtier
+/// between idle m01/m02 hosts in a quiet environment. Initiation and
+/// activation power is constant on both hosts, so each phase's energy is
+/// `P · duration` with `P` from Eqs. 5–7 and the machine's power profile;
+/// the engine steps both phases as spans and must hit it to 1e-12.
+#[test]
+fn nonlive_phase_energies_match_the_hand_computed_oracle() {
+    let mut cfg = MigrationConfig::new(MigrationKind::NonLive);
+    cfg.path = SimulationPath::Analytic;
+    cfg.env_noise = EnvNoise::disabled();
+    // 2^26 B/s, below the link's bandwidth: the 4 GiB image takes exactly
+    // 64 s, so the transfer ends on a tick edge and no activation tick
+    // carries transfer-stage CPU load.
+    cfg.precopy.rate_limit_bps = Some(67_108_864.0);
+    cfg.validate().expect("oracle config is valid");
+
+    let mut cluster = Cluster::new(Link::gigabit());
+    let src = cluster.add_host(hardware::m01());
+    let dst = cluster.add_host(hardware::m02());
+    let vm = cluster.boot_vm(src, vm_instances::migrating_mem());
+    let mut workloads: BTreeMap<VmId, Arc<dyn Workload>> = BTreeMap::new();
+    workloads.insert(vm, Arc::new(PageDirtierWorkload::with_ratio(0.5)));
+    let r =
+        MigrationSimulation::new(cluster, workloads, vm, src, dst, cfg, RngFactory::new(5)).run();
+    assert_eq!(r.phases.te, r.phases.ts + SimDuration::from_secs(64));
+
+    // Eq. 5 (CPU, `idle + dyn·u^e` over the 32 logical CPUs) plus the
+    // memory-contention (Eq. 6) and service terms; no migration traffic
+    // flows in either phase, so the NIC term (Eq. 7) is zero.
+    let spec = hardware::m01();
+    let p = spec.power;
+    let power = |cores: f64, mem_activity: f64, service_w: f64| {
+        p.idle_w
+            + p.cpu_dynamic_w * (cores / spec.cpu_capacity()).powf(p.cpu_exponent)
+            + p.mem_contention_w * mem_activity
+            + service_w
+    };
+    // Busy cores: the VMM's 0.10 + 0.04 per running VM, the migration
+    // control plane, and the pagedirtier's one core once it runs again.
+    let control = cfg.cpu_cost.control_cores;
+    let idle_host = 0.10 + control;
+    let migrant_host = 0.10 + 0.04 + 1.0 + control;
+    let dirtying = PageDirtierWorkload::DEFAULT_WRITE_RATE / PEAK_PAGE_WRITE_RATE;
+    let svc = cfg.service;
+    let init_s = cfg.timing.initiation.as_secs_f64();
+    let act_s = cfg.timing.activation.as_secs_f64();
+    // Non-live: the migrant is suspended from `ms` until it resumes on
+    // the target at `te`.
+    let expected = [
+        (
+            "source initiation",
+            r.source_energy.initiation_j,
+            power(idle_host, 0.0, svc.init_source_w) * init_s,
+        ),
+        (
+            "target initiation",
+            r.target_energy.initiation_j,
+            power(idle_host, 0.0, svc.init_target_w) * init_s,
+        ),
+        (
+            "source activation",
+            r.source_energy.activation_j,
+            power(idle_host, 0.0, svc.activation_source_w) * act_s,
+        ),
+        (
+            "target activation",
+            r.target_energy.activation_j,
+            power(migrant_host, dirtying, svc.activation_target_w) * act_s,
+        ),
+    ];
+    for (name, got, want) in expected {
+        assert!(
+            (got - want).abs() <= 1e-12 * want,
+            "{name}: engine {got} J vs hand-computed {want} J"
+        );
+    }
 }

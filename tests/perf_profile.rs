@@ -7,10 +7,11 @@
 use wavm3::cluster::MachineSet;
 use wavm3::experiments::scenario::ExperimentFamily;
 use wavm3::experiments::{run_all, RepetitionPolicy, RunnerConfig, Scenario};
-use wavm3::migration::{MigrationKind, SimulationPath};
+use wavm3::migration::{MigrationConfig, MigrationKind, MigrationRecord, SimulationPath};
 use wavm3::obs::perf::{chrome_trace, collapsed_stacks, PerfSnapshot};
 use wavm3::obs::{Level, ObsConfig, ObsReport, Session};
 
+/// A matmul load VM on the source: demand ripples every tick.
 fn scenarios() -> Vec<Scenario> {
     [MigrationKind::Live, MigrationKind::NonLive]
         .into_iter()
@@ -26,6 +27,23 @@ fn scenarios() -> Vec<Scenario> {
         .collect()
 }
 
+/// A pagedirtier migrant between idle hosts: every VM has constant
+/// demand, so the analytic engine steps spans.
+fn constant_scenarios() -> Vec<Scenario> {
+    [MigrationKind::Live, MigrationKind::NonLive]
+        .into_iter()
+        .map(|kind| Scenario {
+            family: ExperimentFamily::MemloadVm,
+            kind,
+            machine_set: MachineSet::M,
+            source_load_vms: 0,
+            target_load_vms: 0,
+            migrant_mem_ratio: Some(0.5),
+            label: "50%".into(),
+        })
+        .collect()
+}
+
 fn runner(path: SimulationPath) -> RunnerConfig {
     RunnerConfig {
         repetitions: RepetitionPolicy::Fixed(3),
@@ -35,17 +53,50 @@ fn runner(path: SimulationPath) -> RunnerConfig {
     }
 }
 
-/// Run the campaign on `threads` rayon workers with the given config;
-/// return the finished report.
-fn campaign(threads: usize, config: ObsConfig, path: SimulationPath) -> ObsReport {
+/// Run `scenarios` on `threads` rayon workers with the given config;
+/// return the finished report and the records.
+fn run_on(
+    threads: usize,
+    config: ObsConfig,
+    path: SimulationPath,
+    scenarios: &[Scenario],
+) -> (ObsReport, Vec<Vec<MigrationRecord>>) {
     let session = Session::install(config);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("build rayon pool");
-    let records = pool.install(|| run_all(&scenarios(), &runner(path)));
-    assert_eq!(records.len(), 2);
-    session.finish()
+    let records = pool.install(|| run_all(scenarios, &runner(path)));
+    assert_eq!(records.len(), scenarios.len());
+    (session.finish(), records)
+}
+
+/// The ripple campaign on `threads` workers; return the finished report.
+fn campaign(threads: usize, config: ObsConfig, path: SimulationPath) -> ObsReport {
+    run_on(threads, config, path, &scenarios()).0
+}
+
+/// Ticks the analytic engine processed for `records`: every tick from
+/// the one containing `ms` up to the last one starting before `me`.
+fn tick_count(records: &[Vec<MigrationRecord>]) -> u64 {
+    let dt = MigrationConfig::new(MigrationKind::Live)
+        .timing
+        .tick
+        .as_micros();
+    records
+        .iter()
+        .flatten()
+        .map(|r| r.phases.me.as_micros().div_ceil(dt) - r.phases.ms.as_micros() / dt)
+        .sum()
+}
+
+/// The tick-cache counters: `(full + fast_hit + semi_hit, spans)`.
+fn tick_tiers(perf: &PerfSnapshot) -> (u64, u64) {
+    let get = |k: &str| perf.counters.get(k).copied().unwrap_or(0);
+    let tiers = get("analytic.tick_cache.full")
+        + get("analytic.tick_cache.fast_hit")
+        + get("analytic.tick_cache.semi_hit");
+    (tiers, get("analytic.tick_cache.spans"))
 }
 
 fn profiled() -> ObsConfig {
@@ -73,7 +124,7 @@ fn deterministic_view(perf: &PerfSnapshot) -> (u64, Vec<(String, u64)>) {
 
 #[test]
 fn snapshot_counts_are_identical_across_thread_counts() {
-    let one = campaign(1, profiled(), SimulationPath::Analytic);
+    let (one, records) = run_on(1, profiled(), SimulationPath::Analytic, &scenarios());
     let two = campaign(2, profiled(), SimulationPath::Analytic);
     let eight = campaign(8, profiled(), SimulationPath::Analytic);
 
@@ -98,19 +149,32 @@ fn snapshot_counts_are_identical_across_thread_counts() {
     }
 
     // The tick-cache tiers partition the tick count deterministically.
-    let tiers: u64 = [
-        "analytic.tick_cache.full",
-        "analytic.tick_cache.fast_hit",
-        "analytic.tick_cache.semi_hit",
-    ]
-    .iter()
-    .map(|k| one.perf.counters.get(*k).copied().unwrap_or(0))
-    .sum();
-    assert!(
-        tiers > 0,
-        "tick-cache counters missing: {:?}",
+    let (tiers, _) = tick_tiers(&one.perf);
+    assert_eq!(
+        tiers,
+        tick_count(&records),
+        "tick-cache tiers must partition the ticks: {:?}",
         one.perf.counters
     );
+}
+
+#[test]
+fn constant_host_campaign_steps_the_same_spans_at_every_thread_count() {
+    let run = |threads| {
+        let (report, records) = run_on(
+            threads,
+            profiled(),
+            SimulationPath::Analytic,
+            &constant_scenarios(),
+        );
+        let (tiers, spans) = tick_tiers(&report.perf);
+        assert_eq!(tiers, tick_count(&records), "{threads} threads: tier sum");
+        spans
+    };
+    let spans = run(1);
+    assert!(spans > 0, "a constant-host campaign must step spans");
+    assert_eq!(spans, run(2), "spans: 1 vs 2 threads");
+    assert_eq!(spans, run(8), "spans: 1 vs 8 threads");
 }
 
 #[test]
