@@ -51,8 +51,7 @@ enum Background {
     Constant,
 }
 
-/// The four base (mechanism, migrant-workload) combinations of the
-/// ripple set.
+/// A base (mechanism, migrant-workload) combination.
 #[derive(Debug, Clone, Copy)]
 struct Base {
     name: &'static str,
@@ -61,6 +60,7 @@ struct Base {
     mem_ratio: Option<f64>,
 }
 
+/// The ripple set's four bases.
 const BASES: [Base; 4] = [
     Base {
         name: "live-cpu",
