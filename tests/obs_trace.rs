@@ -3,6 +3,14 @@
 //! of how many rayon worker threads execute it, and the trace/metrics pair
 //! actually covers what the ISSUE promises — every migration phase spanned,
 //! counters for migrations, fault events, retries, and repetitions.
+//!
+//! The sampled engine's Debug trace is also pinned byte for byte in
+//! `tests/golden/trace_sampled.jsonl`. Regenerate it after an intentional
+//! change to the engine's events with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test obs_trace
+//! ```
 
 use wavm3::cluster::MachineSet;
 use wavm3::experiments::scenario::ExperimentFamily;
@@ -13,10 +21,12 @@ use wavm3::obs::metrics::MetricsSnapshot;
 use wavm3::obs::{Level, ObsConfig, ObsReport, Session};
 use wavm3::simkit::SimTime;
 
-fn scenarios() -> Vec<Scenario> {
-    [MigrationKind::Live, MigrationKind::NonLive]
-        .into_iter()
-        .map(|kind| Scenario {
+const LIVE_AND_NONLIVE: [MigrationKind; 2] = [MigrationKind::Live, MigrationKind::NonLive];
+
+fn scenarios(kinds: &[MigrationKind]) -> Vec<Scenario> {
+    kinds
+        .iter()
+        .map(|&kind| Scenario {
             family: ExperimentFamily::CpuloadSource,
             kind,
             machine_set: MachineSet::M,
@@ -47,9 +57,9 @@ fn faulted_runner() -> RunnerConfig {
     }
 }
 
-/// Run the faulted campaign on `threads` rayon workers with trace +
-/// metrics armed; return the finished report.
-fn traced_campaign(threads: usize) -> ObsReport {
+/// Run the faulted campaign over `kinds` on `threads` rayon workers with
+/// trace + metrics armed; return the finished report.
+fn traced_campaign(kinds: &[MigrationKind], threads: usize) -> ObsReport {
     let session = Session::install(ObsConfig {
         trace: true,
         collect_level: Level::Debug,
@@ -62,15 +72,15 @@ fn traced_campaign(threads: usize) -> ObsReport {
         .num_threads(threads)
         .build()
         .expect("build rayon pool");
-    let records = pool.install(|| run_all(&scenarios(), &faulted_runner()));
-    assert_eq!(records.len(), 2);
+    let records = pool.install(|| run_all(&scenarios(kinds), &faulted_runner()));
+    assert_eq!(records.len(), kinds.len());
     session.finish()
 }
 
 #[test]
 fn faulted_trace_is_byte_identical_across_thread_counts() {
-    let single = traced_campaign(1);
-    let multi = traced_campaign(4);
+    let single = traced_campaign(&LIVE_AND_NONLIVE, 1);
+    let multi = traced_campaign(&LIVE_AND_NONLIVE, 4);
     let a = single.trace_jsonl();
     let b = multi.trace_jsonl();
     assert!(!a.is_empty(), "trace must capture the campaign");
@@ -88,7 +98,7 @@ fn faulted_trace_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn trace_spans_every_phase_and_counts_the_campaign() {
-    let report = traced_campaign(2);
+    let report = traced_campaign(&LIVE_AND_NONLIVE, 2);
     let trace = report.trace_jsonl();
 
     // ≥ 1 span per migration phase per run: every run buffer that holds a
@@ -153,9 +163,46 @@ fn disabled_session_emits_nothing() {
         profiling: false,
         ledger: false,
     });
-    let records = run_all(&scenarios(), &faulted_runner());
+    let records = run_all(&scenarios(&LIVE_AND_NONLIVE), &faulted_runner());
     assert_eq!(records.len(), 2);
     let report = session.finish();
     assert_eq!(report.event_count(), 0, "trace off ⇒ no events collected");
     assert!(report.metrics.is_empty(), "metrics off ⇒ empty snapshot");
+}
+
+/// The sampled engine's event sites (suspend, resume, round, fault and
+/// phase spans) pinned byte for byte over live, non-live and post-copy
+/// runs of the faulted campaign. Results alone would not notice an event
+/// that moved to another tick or changed places with its neighbour.
+#[test]
+fn sampled_trace_matches_its_golden() {
+    let kinds = [
+        MigrationKind::Live,
+        MigrationKind::NonLive,
+        MigrationKind::PostCopy,
+    ];
+    let trace = traced_campaign(&kinds, 2).trace_jsonl();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("trace_sampled.jsonl");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &trace).expect("write golden trace");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing {}; regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    for (i, (g, a)) in golden.lines().zip(trace.lines()).enumerate() {
+        assert_eq!(g, a, "trace line {} differs from the golden", i + 1);
+    }
+    assert_eq!(
+        golden.lines().count(),
+        trace.lines().count(),
+        "trace length differs from the golden"
+    );
+    assert_eq!(golden, trace);
 }
