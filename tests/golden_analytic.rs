@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use wavm3::cluster::{hardware, vm_instances, Cluster, Link, VmId};
+use wavm3::cluster::{hardware, vm_instances, Cluster, Link, VmId, PAGE_SIZE_BYTES};
 use wavm3::faults::{AbortFault, FaultConfig};
 use wavm3::migration::simulation::PEAK_PAGE_WRITE_RATE;
 use wavm3::migration::{
@@ -370,10 +370,10 @@ fn constant_host_configs_match_their_goldens() {
 }
 
 /// Hand-computed oracle: a non-live migration of a constant pagedirtier
-/// between idle m01/m02 hosts in a quiet environment. Initiation and
-/// activation power is constant on both hosts, so each phase's energy is
+/// between idle m01/m02 hosts in a quiet environment. Power is constant
+/// on both hosts within each phase, so each phase's energy is
 /// `P · duration` with `P` from Eqs. 5–7 and the machine's power profile;
-/// the engine steps both phases as spans and must hit it to 1e-12.
+/// the engine steps the phases as spans and must hit it to 1e-12.
 #[test]
 fn nonlive_phase_energies_match_the_hand_computed_oracle() {
     let mut cfg = MigrationConfig::new(MigrationKind::NonLive);
@@ -396,47 +396,74 @@ fn nonlive_phase_energies_match_the_hand_computed_oracle() {
     assert_eq!(r.phases.te, r.phases.ts + SimDuration::from_secs(64));
 
     // Eq. 5 (CPU, `idle + dyn·u^e` over the 32 logical CPUs) plus the
-    // memory-contention (Eq. 6) and service terms; no migration traffic
-    // flows in either phase, so the NIC term (Eq. 7) is zero.
+    // memory-contention (Eq. 6), NIC (Eq. 7) and service terms.
     let spec = hardware::m01();
     let p = spec.power;
-    let power = |cores: f64, mem_activity: f64, service_w: f64| {
+    let power = |cores: f64, nic: f64, mem_activity: f64, service_w: f64| {
         p.idle_w
             + p.cpu_dynamic_w * (cores / spec.cpu_capacity()).powf(p.cpu_exponent)
+            + p.nic_w_at_line_rate * nic
             + p.mem_contention_w * mem_activity
             + service_w
     };
     // Busy cores: the VMM's 0.10 + 0.04 per running VM, the migration
-    // control plane, and the pagedirtier's one core once it runs again.
+    // control plane or stream, and the pagedirtier's one core once it
+    // runs again.
     let control = cfg.cpu_cost.control_cores;
     let idle_host = 0.10 + control;
     let migrant_host = 0.10 + 0.04 + 1.0 + control;
+    let src_stream = 0.10 + cfg.cpu_cost.source_cores_at_line_rate;
+    let dst_stream = 0.10 + cfg.cpu_cost.target_cores_at_line_rate;
     let dirtying = PageDirtierWorkload::DEFAULT_WRITE_RATE / PEAK_PAGE_WRITE_RATE;
+    // The stream runs at the cap: its share of the NIC's line rate, and on
+    // the target the pages it writes into memory.
+    let cap = cfg.precopy.rate_limit_bps.expect("capped");
+    let nic = cap / Link::gigabit().line_rate_bps;
+    let loading = cap / PAGE_SIZE_BYTES as f64 / PEAK_PAGE_WRITE_RATE;
     let svc = cfg.service;
     let init_s = cfg.timing.initiation.as_secs_f64();
     let act_s = cfg.timing.activation.as_secs_f64();
+    // The transfer's last tick is booked at the power the engine works out
+    // after that tick's transfer step: the CPU was allocated before the
+    // step, at the stream's cost, but the handover has happened, so the
+    // tick carries no NIC load, the activation service power, and on the
+    // target the resumed migrant's page writes.
+    let tick_s = cfg.timing.tick.as_secs_f64();
+    let stream_s = 64.0 - tick_s;
     // Non-live: the migrant is suspended from `ms` until it resumes on
     // the target at `te`.
     let expected = [
         (
             "source initiation",
             r.source_energy.initiation_j,
-            power(idle_host, 0.0, svc.init_source_w) * init_s,
+            power(idle_host, 0.0, 0.0, svc.init_source_w) * init_s,
         ),
         (
             "target initiation",
             r.target_energy.initiation_j,
-            power(idle_host, 0.0, svc.init_target_w) * init_s,
+            power(idle_host, 0.0, 0.0, svc.init_target_w) * init_s,
+        ),
+        (
+            "source transfer",
+            r.source_energy.transfer_j,
+            power(src_stream, nic, 0.0, svc.transfer_source_w) * stream_s
+                + power(src_stream, 0.0, 0.0, svc.activation_source_w) * tick_s,
+        ),
+        (
+            "target transfer",
+            r.target_energy.transfer_j,
+            power(dst_stream, nic, loading, svc.transfer_target_w) * stream_s
+                + power(dst_stream, 0.0, dirtying, svc.activation_target_w) * tick_s,
         ),
         (
             "source activation",
             r.source_energy.activation_j,
-            power(idle_host, 0.0, svc.activation_source_w) * act_s,
+            power(idle_host, 0.0, 0.0, svc.activation_source_w) * act_s,
         ),
         (
             "target activation",
             r.target_energy.activation_j,
-            power(migrant_host, dirtying, svc.activation_target_w) * act_s,
+            power(migrant_host, 0.0, dirtying, svc.activation_target_w) * act_s,
         ),
     ];
     for (name, got, want) in expected {
