@@ -48,6 +48,7 @@
 
 pub mod analytic;
 pub mod config;
+mod engine;
 pub mod record;
 pub mod simulation;
 pub mod sla;

@@ -10,19 +10,19 @@
 //! bandwidth/CPU coupling, dirty-page saturation) while the meters sample
 //! on their own 2 Hz schedule, exactly like the paper's instrumentation.
 
-use crate::config::{EnvNoise, MigrationConfig, MigrationKind, SimulationPath};
-use crate::record::{FeatureSample, MigrationOutcome, MigrationRecord, RoundStats};
+use crate::config::{EnvNoise, MigrationConfig, SimulationPath};
+use crate::engine::{Mechanism, Moves, Stage, HORIZON};
+use crate::record::{FeatureSample, MigrationRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wavm3_cluster::{Cluster, HostId, VmId, PAGE_SIZE_BYTES};
-use wavm3_faults::{observe_fault, FaultEvent, FaultPlan};
 use wavm3_harness::Wavm3Error;
-use wavm3_obs::{metrics, Level, RoleLedger, TermEnergy};
+use wavm3_obs::{Level, TermEnergy};
 use wavm3_power::{
     channels, ground_truth_power, ground_truth_terms, EnergyBreakdown, PhaseTimes, PowerInputs,
     PowerMeter, PowerTerms, PowerTrace, TelemetryRecorder,
 };
-use wavm3_simkit::{RngFactory, SimDuration, SimTime};
+use wavm3_simkit::{RngFactory, SimTime};
 use wavm3_workloads::Workload;
 
 /// Page-write rate treated as 100 % memory-bus contention (pages/s).
@@ -32,42 +32,6 @@ pub const PEAK_PAGE_WRITE_RATE: f64 = 250_000.0;
 /// strict 0.3 % device-accuracy rule gates *readings*, but with synthetic
 /// meter noise the run-level criterion uses a 1.5 % envelope).
 const TAIL_STABILITY_TOLERANCE: f64 = 0.015;
-
-/// Run-to-run environmental variability, mirroring what the paper's
-/// physical testbed exhibits (and the reason its §V-B repetition rule
-/// exists): thermal/fan state shifts the idle floor, silicon and supply
-/// efficiency drift scales the dynamic power, and the network stack's
-/// effective efficiency wobbles between runs. None of this is visible to
-/// any of the regression models, so it sets the irreducible error floor of
-/// the model comparison.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunJitter {
-    /// Additive idle-floor shift per host, watts (σ ≈ 12 W).
-    pub(crate) idle_shift_w: f64,
-    /// Multiplicative dynamic-power factor (σ ≈ 5 %).
-    pub(crate) dyn_factor: f64,
-    /// Multiplicative service-power factor (σ ≈ 10 %).
-    pub(crate) service_factor: f64,
-}
-
-impl RunJitter {
-    pub(crate) fn draw(rng: &mut wavm3_simkit::StreamRng, noise: &EnvNoise) -> Self {
-        use wavm3_simkit::rng::sample_normal;
-        RunJitter {
-            idle_shift_w: sample_normal(rng, 0.0, noise.jitter_idle_std_w),
-            dyn_factor: sample_normal(rng, 1.0, noise.jitter_dyn_std).clamp(0.7, 1.3),
-            service_factor: sample_normal(rng, 1.0, noise.jitter_service_std).clamp(0.5, 1.5),
-        }
-    }
-
-    pub(crate) fn apply(&self, mut p: wavm3_cluster::PowerProfile) -> wavm3_cluster::PowerProfile {
-        p.idle_w = (p.idle_w + self.idle_shift_w).max(0.0);
-        p.cpu_dynamic_w *= self.dyn_factor;
-        p.nic_w_at_line_rate *= self.dyn_factor;
-        p.mem_contention_w *= self.dyn_factor;
-        p
-    }
-}
 
 /// A slow Ornstein–Uhlenbeck power wander (fans, temperature, background
 /// dom-0 housekeeping): mean-reverting with time constant `tau_s` and
@@ -155,38 +119,15 @@ impl TermTraces {
         }
     }
 
-    /// One host's ledger over the phase windows, mirroring the
-    /// rollback semantics of [`EnergyBreakdown::from_trace_aborted`].
-    fn role_ledger(&self, phases: &PhaseTimes, aborted: bool) -> RoleLedger {
-        let tail = self.window(phases.te, phases.me);
-        RoleLedger {
-            initiation: self.window(phases.ms, phases.ts),
-            transfer: self.window(phases.ts, phases.te),
-            activation: if aborted { TermEnergy::default() } else { tail },
-            rollback: if aborted { tail } else { TermEnergy::default() },
-        }
+    /// One host's terms over initiation, transfer and the post-`te`
+    /// window, for [`Mechanism::record_ledger`].
+    fn phase_windows(&self, phases: &PhaseTimes) -> [TermEnergy; 3] {
+        [
+            self.window(phases.ms, phases.ts),
+            self.window(phases.ts, phases.te),
+            self.window(phases.te, phases.me),
+        ]
     }
-}
-
-/// In-flight transfer bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct Xfer {
-    round: usize,
-    remaining_bytes: f64,
-    round_bytes_sent: f64,
-    round_start: SimTime,
-    stop_and_copy: bool,
-}
-
-/// Coarse engine state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Stage {
-    Pre,
-    Initiation,
-    Transfer,
-    Activation,
-    Post,
-    Finished,
 }
 
 /// A fully configured migration scenario, ready to run.
@@ -278,15 +219,10 @@ impl MigrationSimulation {
     /// recording (and therefore needs every meter sample) the run falls
     /// back to the sampled reference engine.
     pub fn run(self) -> MigrationRecord {
-        match self.config.path {
-            SimulationPath::Sampled => self.run_sampled(),
-            SimulationPath::Analytic => {
-                if wavm3_obs::tracing_active() {
-                    self.run_sampled()
-                } else {
-                    crate::analytic::run_analytic(self)
-                }
-            }
+        if self.config.path == SimulationPath::Analytic && !wavm3_obs::tracing_active() {
+            self.run_analytic_reusing(self.rng, &mut crate::analytic::RunSlot::default())
+        } else {
+            self.run_sampled()
         }
     }
 
@@ -317,57 +253,30 @@ impl MigrationSimulation {
     /// construction, so the division by `dt` below is always sound.
     pub(crate) fn run_sampled(mut self) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.sampled");
-        let cfg = self.config;
+        let mut mech = Mechanism::new(&self, &self.rng, Vec::new(), Vec::new());
+        let cfg = mech.cfg;
         let dt = cfg.timing.tick;
         let dt_s = dt.as_secs_f64();
-
-        let migrant_ram_bytes = self
-            .cluster
-            .vm(self.migrant)
-            .expect("migrant exists")
-            .memory
-            .total_bytes();
-        let migrant_total_pages = migrant_ram_bytes / PAGE_SIZE_BYTES;
-        let vm_ram_mib = self.cluster.vm(self.migrant).unwrap().spec.ram_mib;
+        let migrant_total_pages = mech.migrant_ram_bytes / PAGE_SIZE_BYTES;
         let migrant_vcpus = self.cluster.vm(self.migrant).unwrap().spec.vcpus as f64;
-        let (src_name, dst_name, src_power, dst_power, machine_set, idle_power_w) = {
-            let s = &self.cluster.host(self.source).spec;
-            let t = &self.cluster.host(self.target).spec;
-            assert_eq!(
-                s.set, t.set,
-                "paper scenario: homogeneous source and target (Xen restriction)"
-            );
-            (
-                s.name.clone(),
-                t.name.clone(),
-                s.power,
-                t.power,
-                s.set,
-                s.power.idle_w,
-            )
-        };
+        let (src_power, dst_power) = (mech.src_power, mech.dst_power);
 
-        // Per-run environmental jitter and slow wander (see RunJitter).
+        // Per-run slow wander (see PowerWander) and the 2 Hz meters.
         let noise = cfg.env_noise;
-        let src_jitter = RunJitter::draw(&mut self.rng.stream("jitter.source"), &noise);
-        let dst_jitter = RunJitter::draw(&mut self.rng.stream("jitter.target"), &noise);
-        let src_power = src_jitter.apply(src_power);
-        let dst_power = dst_jitter.apply(dst_power);
         let mut src_wander = PowerWander::new(self.rng.stream("wander.source"), &noise);
         let mut dst_wander = PowerWander::new(self.rng.stream("wander.target"), &noise);
-
         let mut src_meter = PowerMeter::new(
-            src_name.clone(),
+            mech.src_name.clone(),
             src_power.noise_std_w,
             self.rng.stream("meter.source"),
         );
         let mut dst_meter = PowerMeter::new(
-            dst_name.clone(),
+            mech.dst_name.clone(),
             dst_power.noise_std_w,
             self.rng.stream("meter.target"),
         );
-        let mut truth_src = PowerTrace::new(src_name);
-        let mut truth_dst = PowerTrace::new(dst_name);
+        let mut truth_src = PowerTrace::new(mech.src_name.clone());
+        let mut truth_dst = PowerTrace::new(mech.dst_name.clone());
         // Energy-attribution ledger feed, latched once per run so the
         // per-sample work cannot toggle mid-run. No RNG stream is touched
         // on this path, so arming the ledger never perturbs results.
@@ -376,101 +285,18 @@ impl MigrationSimulation {
         let mut dst_attrib = TermTraces::new();
         let mut telemetry = TelemetryRecorder::new();
         let mut samples: Vec<FeatureSample> = Vec::new();
-        let mut rounds: Vec<RoundStats> = Vec::new();
-
-        // Fault plan for this run, drawn from the same RNG scope as the
-        // rest of the run's noise — identical on every replay. A disabled
-        // config yields the empty plan without touching any stream.
-        let fault_plan = FaultPlan::generate(&cfg.faults, &self.rng);
-        let mut fault_events: Vec<FaultEvent> = Vec::new();
-        let mut link_window_seen = vec![false; fault_plan.link_windows().len()];
-        let mut aborted = false;
-
-        // Phase instants, filled in as the run progresses. `ts` is mutable
-        // only because an abort during initiation collapses the transfer
-        // phase to zero length.
-        let ms = SimTime::ZERO + cfg.timing.pre_run;
-        let mut ts = ms + cfg.timing.initiation;
-        let mut te: Option<SimTime> = None;
-        let mut me: Option<SimTime> = None;
-
-        let mut stage = Stage::Pre;
-        let mut xfer: Option<Xfer> = None;
-        // Analytic dirty-set size of the migrant (pages, live transfer only).
-        let mut dirty_pages: f64 = 0.0;
-        let mut total_bytes: f64 = 0.0;
-        let mut current_bw: f64;
-        let mut suspend_time: Option<SimTime> = None;
-        let mut resume_time: Option<SimTime> = None;
-        let mut migrant_on_target = false;
 
         let mut now = SimTime::ZERO;
-        // Generous hard cap: no scenario in the paper runs longer than a few
-        // hundred seconds.
-        let horizon = SimTime::from_secs(3_600);
+        while mech.stage != Stage::Finished {
+            assert!(now < HORIZON, "simulation failed to terminate");
 
-        while stage != Stage::Finished {
-            assert!(now < horizon, "simulation failed to terminate");
-
-            // --- Stage transitions that fire on wall-clock boundaries. ---
-            if stage == Stage::Pre && now >= ms {
-                stage = Stage::Initiation;
-                if cfg.kind == MigrationKind::NonLive {
-                    // Suspend-and-copy: the VM stops at migration start.
-                    self.cluster.vm_mut(self.migrant).unwrap().suspend();
-                    suspend_time = Some(now);
-                    wavm3_obs::event!(
-                        Level::Debug, "wavm3_migration", "vm.suspend", now,
-                        "reason" => "non_live_start",
-                    );
-                }
-            }
-            if stage == Stage::Initiation && now >= ts {
-                stage = Stage::Transfer;
-                xfer = Some(Xfer {
-                    round: 0,
-                    remaining_bytes: migrant_ram_bytes as f64,
-                    round_bytes_sent: 0.0,
-                    round_start: now,
-                    stop_and_copy: false,
-                });
-                dirty_pages = 0.0; // log-dirty bitmap cleared at ts
-                if cfg.kind == MigrationKind::PostCopy {
-                    // Post-copy handover: suspend, move the CPU state, and
-                    // run on the target while memory follows over the wire.
-                    self.cluster.vm_mut(self.migrant).unwrap().suspend();
-                    suspend_time = Some(now);
-                    wavm3_obs::event!(
-                        Level::Debug, "wavm3_migration", "vm.suspend", now,
-                        "reason" => "postcopy_handover",
-                    );
-                    self.cluster
-                        .relocate_vm(self.migrant, self.source, self.target);
-                    migrant_on_target = true;
-                }
-            }
-            if cfg.kind == MigrationKind::PostCopy
-                && migrant_on_target
-                && resume_time.is_none()
-                && now >= ts + cfg.timing.postcopy_handover
-            {
-                self.cluster.vm_mut(self.migrant).unwrap().resume();
-                resume_time = Some(now);
-                wavm3_obs::event!(
-                    Level::Debug, "wavm3_migration", "vm.resume", now,
-                    "reason" => "postcopy_target",
-                );
-            }
-            if stage == Stage::Activation {
-                let me_t = me.expect("me set when entering activation");
-                if now >= me_t {
-                    stage = Stage::Post;
-                }
-            }
-            if stage == Stage::Post {
-                let me_t = me.expect("me set");
-                let min_end = me_t + cfg.timing.post_run_min;
-                let max_end = me_t + cfg.timing.post_run_max;
+            // --- Stage edges and the injected abort. ---
+            let moves = mech.stage_edges(now);
+            self.apply(&mech, moves);
+            if mech.stage == Stage::Post {
+                let me = mech.me().expect("me set in the tail");
+                let min_end = me + cfg.timing.post_run_min;
+                let max_end = me + cfg.timing.post_run_max;
                 let stable = src_meter
                     .trace()
                     .series
@@ -480,106 +306,35 @@ impl MigrationSimulation {
                         .series
                         .is_stable(20, TAIL_STABILITY_TOLERANCE);
                 if (now >= min_end && stable) || now >= max_end {
-                    stage = Stage::Finished;
-                    // Take the final meter samples before leaving so the
-                    // trace covers the whole window.
+                    // Leave before this tick's meter samples: the trace
+                    // already covers the whole window.
+                    mech.stage = Stage::Finished;
+                    continue;
                 }
-            }
-            if stage == Stage::Finished {
-                break;
-            }
-
-            // --- Injected abort: roll the migration back to the source. ---
-            // Post-copy runs are only abortable before the handover (once
-            // the VM executes on the target there is nothing to roll back
-            // to); pre-copy/non-live runs are abortable until `te`.
-            if !aborted
-                && matches!(stage, Stage::Initiation | Stage::Transfer)
-                && !migrant_on_target
-                && fault_plan.abort_at().is_some_and(|t| now >= t)
-            {
-                aborted = true;
-                fault_events.push(FaultEvent::Aborted {
-                    at: now,
-                    bytes_sent: total_bytes.round() as u64,
-                });
-                observe_fault(fault_events.last().expect("just pushed"));
-                // The VM never left the source; resume it if this
-                // migration suspended it (non-live, or a live
-                // stop-and-copy pass caught mid-flight).
-                let vm = self.cluster.vm_mut(self.migrant).unwrap();
-                if !vm.is_running() {
-                    vm.resume();
-                    resume_time = Some(now);
-                    wavm3_obs::event!(
-                        Level::Debug, "wavm3_migration", "vm.resume", now,
-                        "reason" => "abort_rollback",
-                    );
-                }
-                // Timeline: `te` = abort instant; the activation-length
-                // window that follows holds target teardown and source
-                // cleanup, accounted as rollback energy.
-                if stage == Stage::Initiation {
-                    ts = now; // the transfer never started
-                }
-                te = Some(now);
-                me = Some(now + cfg.timing.activation);
-                xfer = None;
-                dirty_pages = 0.0;
-                stage = Stage::Activation;
             }
 
             // --- Refresh workload CPU demands. ---
+            let migrant_factor = mech.migrant_factor();
             for host_id in [self.source, self.target] {
                 let host = self.cluster.host_mut(host_id);
                 for vm in host.vms_mut() {
                     if let Some(w) = self.workloads.get(&vm.id) {
                         let mut demand = w.cpu_demand(now);
-                        // Post-copy: while pages are still remote the guest
-                        // stalls on demand fetches; its achievable CPU rises
-                        // with the fraction of memory already local.
-                        if cfg.kind == MigrationKind::PostCopy
-                            && vm.id == self.migrant
-                            && stage == Stage::Transfer
-                        {
-                            let progress = xfer
-                                .map(|x| {
-                                    1.0 - (x.remaining_bytes / migrant_ram_bytes as f64)
-                                        .clamp(0.0, 1.0)
-                                })
-                                .unwrap_or(1.0);
-                            demand *= 0.55 + 0.45 * progress;
+                        if vm.id == self.migrant {
+                            demand *= migrant_factor;
                         }
                         vm.set_cpu_demand(demand);
                     }
                 }
             }
 
-            // --- Migration CPU demand per stage (CPU_migr of Eq. 2). ---
-            let migrant_running_on_source = !migrant_on_target
-                && self
-                    .cluster
-                    .vm(self.migrant)
-                    .map(|v| v.is_running())
-                    .unwrap_or(false);
-            let dirty_intensity = if cfg.kind == MigrationKind::Live && migrant_running_on_source {
-                let w = self.workloads.get(&self.migrant);
-                w.map(|w| (w.page_write_rate(now) / PEAK_PAGE_WRITE_RATE).min(1.0))
-                    .unwrap_or(0.0)
-            } else {
-                0.0
-            };
-            let (migr_src_cores, migr_dst_cores) = match stage {
-                Stage::Initiation | Stage::Activation => {
-                    (cfg.cpu_cost.control_cores, cfg.cpu_cost.control_cores)
-                }
-                Stage::Transfer => (
-                    cfg.cpu_cost.source_cores_at_line_rate
-                        + cfg.cpu_cost.dirty_tracking_cores * dirty_intensity,
-                    cfg.cpu_cost.target_cores_at_line_rate,
-                ),
-                _ => (0.0, 0.0),
-            };
+            // --- Migration CPU demand per stage. ---
+            let migrant_wr = self
+                .workloads
+                .get(&self.migrant)
+                .map(|w| w.page_write_rate(now))
+                .unwrap_or(0.0);
+            let (migr_src_cores, migr_dst_cores) = mech.migration_cores(migrant_wr);
             self.cluster
                 .host_mut(self.source)
                 .set_migration_cores(migr_src_cores);
@@ -591,7 +346,7 @@ impl MigrationSimulation {
             let src_alloc = self.cluster.host(self.source).cpu_allocation();
             let dst_alloc = self.cluster.host(self.target).cpu_allocation();
             // Background traffic from network-intensive guests shares the
-            // NIC with the migration stream (paper §III-B / future work).
+            // NIC with the migration stream.
             let bg_line_share = |cluster: &Cluster, host: HostId| {
                 let mut share = 0.0;
                 for vm in cluster.host(host).vms() {
@@ -605,192 +360,21 @@ impl MigrationSimulation {
             };
             let src_bg = bg_line_share(&self.cluster, self.source);
             let dst_bg = bg_line_share(&self.cluster, self.target);
-            current_bw = if stage == Stage::Transfer {
-                let free_line = (1.0 - src_bg.max(dst_bg)).max(0.02);
-                // Injected link degradation throttles the physical link;
-                // the sender-side rate cap still applies on top.
-                let fault_factor = fault_plan.bandwidth_factor_at(now);
-                if fault_factor < 1.0 {
-                    for (i, w) in fault_plan.link_windows().iter().enumerate() {
-                        if w.window.contains(now) && !link_window_seen[i] {
-                            link_window_seen[i] = true;
-                            fault_events.push(FaultEvent::LinkDegraded {
-                                window: w.window,
-                                bandwidth_factor: w.bandwidth_factor,
-                            });
-                            observe_fault(fault_events.last().expect("just pushed"));
-                        }
-                    }
-                }
-                let bw = self
-                    .cluster
-                    .link
-                    .effective_bandwidth(src_alloc.scale, dst_alloc.scale)
-                    * free_line
-                    * fault_factor;
-                match cfg.precopy.rate_limit_bps {
-                    Some(cap) => bw.min(cap.max(1.0)),
-                    None => bw,
-                }
-            } else {
-                0.0
-            };
+            let mut current_bw =
+                mech.coupled_bandwidth(now, src_alloc.scale, dst_alloc.scale, src_bg, dst_bg);
 
             // --- Advance the transfer within this tick (may cross rounds). ---
-            if stage == Stage::Transfer {
-                let migrant_ws_pages = self
-                    .workloads
-                    .get(&self.migrant)
-                    .map(|w| w.working_set_fraction() * migrant_total_pages as f64)
-                    .unwrap_or(0.0);
-                let write_rate = self
-                    .workloads
-                    .get(&self.migrant)
-                    .map(|w| w.page_write_rate(now))
-                    .unwrap_or(0.0);
-                let mut t_cur = now;
-                let mut dt_left = dt_s;
-                while dt_left > 1e-12 {
-                    let x = xfer.as_mut().expect("transfer state exists");
-                    if current_bw <= 0.0 {
-                        break; // fully starved this tick; try again next tick
-                    }
-                    let need_s = x.remaining_bytes / current_bw;
-                    let step = need_s.min(dt_left);
-                    let moved = current_bw * step;
-                    x.remaining_bytes -= moved;
-                    x.round_bytes_sent += moved;
-                    total_bytes += moved;
-                    // Dirty-set saturation while the VM runs (live only).
-                    let vm_running = self
-                        .cluster
-                        .vm(self.migrant)
-                        .map(|v| v.is_running())
-                        .unwrap_or(false);
-                    if cfg.kind == MigrationKind::Live && vm_running && migrant_ws_pages >= 1.0 {
-                        dirty_pages = migrant_ws_pages
-                            - (migrant_ws_pages - dirty_pages)
-                                * (-write_rate * step / migrant_ws_pages).exp();
-                    }
-                    t_cur += SimDuration::from_secs_f64(step);
-                    dt_left -= step;
-                    if x.remaining_bytes <= 0.5 {
-                        // Round complete at t_cur.
-                        let pages_sent = (x.round_bytes_sent / PAGE_SIZE_BYTES as f64).max(1.0);
-                        let d_end = dirty_pages.round() as u64;
-                        rounds.push(RoundStats {
-                            round: x.round,
-                            bytes_sent: x.round_bytes_sent.round() as u64,
-                            duration: t_cur - x.round_start,
-                            dirty_at_end_pages: d_end,
-                            stop_and_copy: x.stop_and_copy,
-                        });
-                        wavm3_obs::event!(
-                            Level::Debug, "wavm3_migration", "transfer.round", t_cur,
-                            "round" => x.round as u64,
-                            "bytes_sent" => x.round_bytes_sent.round() as u64,
-                            "dirty_at_end_pages" => d_end,
-                            "stop_and_copy" => x.stop_and_copy,
-                        );
-                        let finish = |te_slot: &mut Option<SimTime>,
-                                      me_slot: &mut Option<SimTime>,
-                                      t_end: SimTime| {
-                            *te_slot = Some(t_end);
-                            *me_slot = Some(t_end + cfg.timing.activation);
-                        };
-                        if x.stop_and_copy || cfg.kind != MigrationKind::Live {
-                            // Transfer is over.
-                            finish(&mut te, &mut me, t_cur);
-                            stage = Stage::Activation;
-                        } else {
-                            // Live pre-copy round boundary: decide.
-                            let threshold = cfg.precopy.stop_threshold_pages as f64;
-                            let stall = d_end as f64 >= cfg.precopy.stall_ratio * pages_sent;
-                            let cap = x.round + 1 >= cfg.precopy.max_rounds;
-                            // Injected dirty-page storm: force the final
-                            // pass at the fault's round cap where the
-                            // engine's own rules would keep iterating.
-                            let forced = d_end > 0
-                                && fault_plan
-                                    .force_stop_after_rounds()
-                                    .is_some_and(|c| x.round + 1 >= c)
-                                && !(d_end as f64 <= threshold || stall || cap);
-                            if forced {
-                                fault_events.push(FaultEvent::ForcedStopAndCopy {
-                                    at: t_cur,
-                                    after_rounds: x.round + 1,
-                                });
-                                observe_fault(fault_events.last().expect("just pushed"));
-                            }
-                            if d_end == 0 {
-                                finish(&mut te, &mut me, t_cur);
-                                stage = Stage::Activation;
-                            } else if d_end as f64 <= threshold || stall || cap || forced {
-                                // Final stop-and-copy: suspend the VM.
-                                self.cluster.vm_mut(self.migrant).unwrap().suspend();
-                                suspend_time = Some(t_cur);
-                                wavm3_obs::event!(
-                                    Level::Debug, "wavm3_migration", "vm.suspend", t_cur,
-                                    "reason" => "stop_and_copy",
-                                );
-                                *x = Xfer {
-                                    round: x.round + 1,
-                                    remaining_bytes: d_end as f64 * PAGE_SIZE_BYTES as f64,
-                                    round_bytes_sent: 0.0,
-                                    round_start: t_cur,
-                                    stop_and_copy: true,
-                                };
-                                dirty_pages = 0.0;
-                            } else {
-                                // Another pre-copy round.
-                                *x = Xfer {
-                                    round: x.round + 1,
-                                    remaining_bytes: d_end as f64 * PAGE_SIZE_BYTES as f64,
-                                    round_bytes_sent: 0.0,
-                                    round_start: t_cur,
-                                    stop_and_copy: false,
-                                };
-                                dirty_pages = 0.0;
-                            }
-                        }
-                        if stage != Stage::Transfer {
-                            break;
-                        }
-                    }
-                }
-                // Transfer finished inside this tick: perform the handover
-                // (post-copy already moved the VM at the start of transfer).
-                if stage == Stage::Activation {
-                    if !migrant_on_target {
-                        let te_t = te.expect("te set");
-                        self.cluster
-                            .relocate_vm(self.migrant, self.source, self.target);
-                        let vm = self.cluster.vm_mut(self.migrant).unwrap();
-                        vm.resume();
-                        migrant_on_target = true;
-                        resume_time = Some(te_t);
-                        wavm3_obs::event!(
-                            Level::Debug, "wavm3_migration", "vm.resume", te_t,
-                            "reason" => "activation",
-                        );
-                    }
-                    current_bw = 0.0;
-                }
+            let moves = mech.advance_transfer(now, dt_s, current_bw, migrant_wr);
+            self.apply(&mech, moves);
+            if moves.edge {
+                current_bw = 0.0;
             }
 
             // --- Ground-truth power for both hosts at this instant. ---
             let migr_nic = self.cluster.link.line_utilisation(current_bw);
             let src_nic_util = (migr_nic + src_bg).min(1.0);
             let dst_nic_util = (migr_nic + dst_bg).min(1.0);
-            let (svc_src, svc_dst) = match stage {
-                Stage::Initiation => (cfg.service.init_source_w, cfg.service.init_target_w),
-                Stage::Transfer => (cfg.service.transfer_source_w, cfg.service.transfer_target_w),
-                Stage::Activation => (
-                    cfg.service.activation_source_w,
-                    cfg.service.activation_target_w,
-                ),
-                _ => (0.0, 0.0),
-            };
+            let (svc_src, svc_dst) = mech.service_power();
             let mem_activity = |cluster: &Cluster, host: HostId, extra_pages_per_s: f64| {
                 let mut rate = extra_pages_per_s;
                 for vm in cluster.host(host).vms() {
@@ -802,23 +386,21 @@ impl MigrationSimulation {
                 }
                 (rate / PEAK_PAGE_WRITE_RATE).min(1.0)
             };
-            // Receiving a migration writes the incoming state to memory.
-            let state_load_rate = if stage == Stage::Transfer {
-                current_bw / PAGE_SIZE_BYTES as f64
-            } else {
-                0.0
-            };
             let src_inputs = PowerInputs {
                 cpu_utilisation: src_alloc.utilisation(),
                 nic_utilisation: src_nic_util,
                 mem_activity: mem_activity(&self.cluster, self.source, 0.0),
-                service_w: svc_src * src_jitter.service_factor,
+                service_w: svc_src,
             };
             let dst_inputs = PowerInputs {
                 cpu_utilisation: dst_alloc.utilisation(),
                 nic_utilisation: dst_nic_util,
-                mem_activity: mem_activity(&self.cluster, self.target, state_load_rate),
-                service_w: svc_dst * dst_jitter.service_factor,
+                mem_activity: mem_activity(
+                    &self.cluster,
+                    self.target,
+                    mech.state_load_rate(current_bw),
+                ),
+                service_w: svc_dst,
             };
             let p_src =
                 (ground_truth_power(&src_power, src_inputs) + src_wander.step(dt_s)).max(0.0);
@@ -841,7 +423,7 @@ impl MigrationSimulation {
                 let migrant_cpu_fraction = {
                     let vm = self.cluster.vm(self.migrant).expect("migrant exists");
                     if vm.is_running() && migrant_vcpus > 0.0 {
-                        let host = if migrant_on_target {
+                        let host = if mech.migrant_on_target {
                             &dst_alloc
                         } else {
                             &src_alloc
@@ -852,7 +434,7 @@ impl MigrationSimulation {
                     }
                 };
                 let dirty_ratio = if migrant_total_pages > 0 {
-                    (dirty_pages / migrant_total_pages as f64).clamp(0.0, 1.0)
+                    (mech.dirty_pages / migrant_total_pages as f64).clamp(0.0, 1.0)
                 } else {
                     0.0
                 };
@@ -861,13 +443,13 @@ impl MigrationSimulation {
                 telemetry.record(channels::CPU_VM, t_sample, migrant_cpu_fraction);
                 telemetry.record(channels::DIRTY_RATIO, t_sample, dirty_ratio);
                 telemetry.record(channels::BANDWIDTH, t_sample, current_bw);
-                if !fault_plan.is_empty() {
+                if !mech.fault_plan.is_empty() {
                     // Extra channel only on faulted runs, so fault-free
                     // records stay byte-identical to the pre-fault engine.
                     telemetry.record(
                         channels::FAULT_BW_FACTOR,
                         t_sample,
-                        fault_plan.bandwidth_factor_at(t_sample),
+                        mech.fault_plan.bandwidth_factor_at(t_sample),
                     );
                 }
 
@@ -889,21 +471,14 @@ impl MigrationSimulation {
             now += dt;
         }
 
-        let te = te.expect("transfer completed");
-        let me = me.expect("activation scheduled");
-        let phases = PhaseTimes::new(ms, ts, te, me);
+        let phases = mech.phases();
         for s in &mut samples {
             s.phase = phases.phase_at(s.t);
         }
 
-        let downtime = match (suspend_time, resume_time) {
-            (Some(s), Some(r)) => r.saturating_since(s),
-            _ => SimDuration::ZERO,
-        };
-
         let source_trace = src_meter.into_trace();
         let target_trace = dst_meter.into_trace();
-        let (source_energy, target_energy) = if aborted {
+        let (source_energy, target_energy) = if mech.aborted {
             (
                 EnergyBreakdown::from_trace_aborted(&source_trace, &phases),
                 EnergyBreakdown::from_trace_aborted(&target_trace, &phases),
@@ -915,8 +490,8 @@ impl MigrationSimulation {
             )
         };
 
-        // --- Observability: phase spans, run span, metrics. Gated so a
-        // run without an installed session pays a few atomic loads; all
+        // --- Observability: phase spans and the run span. Gated so a run
+        // without an installed session pays a few atomic loads; all
         // timestamps are sim time, so traces replay byte-identically. ---
         if wavm3_obs::tracing_active() {
             // Mean workload attributes over one phase window, computed
@@ -949,11 +524,11 @@ impl MigrationSimulation {
                     ],
                 );
             };
-            phase_span("phase.normal", SimTime::ZERO, ms);
-            phase_span("phase.initiation", ms, ts);
-            phase_span("phase.transfer", ts, te);
-            phase_span("phase.activation", te, me);
-            phase_span("phase.tail", me, now);
+            phase_span("phase.normal", SimTime::ZERO, phases.ms);
+            phase_span("phase.initiation", phases.ms, phases.ts);
+            phase_span("phase.transfer", phases.ts, phases.te);
+            phase_span("phase.activation", phases.te, phases.me);
+            phase_span("phase.tail", phases.me, now);
             wavm3_obs::emit_span(
                 Level::Info,
                 "wavm3_migration",
@@ -962,96 +537,47 @@ impl MigrationSimulation {
                 now,
                 vec![
                     ("kind", cfg.kind.label().into()),
-                    (
-                        "outcome",
-                        if aborted { "aborted" } else { "completed" }.into(),
-                    ),
-                    ("total_bytes", (total_bytes.round() as u64).into()),
-                    ("downtime_s", downtime.as_secs_f64().into()),
-                    ("rounds", (rounds.len() as u64).into()),
-                    ("fault_events", (fault_events.len() as u64).into()),
-                    ("vm_ram_mib", vm_ram_mib.into()),
+                    ("outcome", mech.outcome_label().into()),
+                    ("total_bytes", (mech.total_bytes.round() as u64).into()),
+                    ("downtime_s", mech.downtime().as_secs_f64().into()),
+                    ("rounds", (mech.rounds.len() as u64).into()),
+                    ("fault_events", (mech.fault_events.len() as u64).into()),
+                    ("vm_ram_mib", mech.vm_ram_mib.into()),
                 ],
             );
         }
-        metrics::counter_add("migration.runs", 1);
-        if aborted {
-            metrics::counter_add("migration.aborted", 1);
-        }
-        metrics::observe(
-            "migration.transfer_s",
-            metrics::buckets::DURATION_S,
-            phases.transfer().as_secs_f64(),
-        );
-        metrics::observe(
-            "migration.downtime_s",
-            metrics::buckets::DURATION_S,
-            downtime.as_secs_f64(),
-        );
-        metrics::observe(
-            "migration.energy_kj",
-            metrics::buckets::ENERGY_KJ,
-            (source_energy.total_j() + target_energy.total_j()) / 1e3,
-        );
-        for (name, src_j, dst_j) in [
-            (
-                "migration.phase.initiation_kj",
-                source_energy.initiation_j,
-                target_energy.initiation_j,
-            ),
-            (
-                "migration.phase.transfer_kj",
-                source_energy.transfer_j,
-                target_energy.transfer_j,
-            ),
-            (
-                "migration.phase.activation_kj",
-                source_energy.activation_j,
-                target_energy.activation_j,
-            ),
-            (
-                "migration.phase.rollback_kj",
-                source_energy.rollback_j,
-                target_energy.rollback_j,
-            ),
-        ] {
-            metrics::observe(name, metrics::buckets::ENERGY_KJ, (src_j + dst_j) / 1e3);
-        }
-
+        let record = mech.finish(phases, source_energy, target_energy);
         if ledger_on {
-            wavm3_obs::ledger::record(wavm3_obs::LedgerEntry {
-                kind: cfg.kind.label(),
-                outcome: if aborted { "aborted" } else { "completed" },
-                source: src_attrib.role_ledger(&phases, aborted),
-                target: dst_attrib.role_ledger(&phases, aborted),
-            });
+            mech.record_ledger(
+                src_attrib.phase_windows(&phases),
+                dst_attrib.phase_windows(&phases),
+            );
         }
 
         MigrationRecord {
-            kind: cfg.kind,
-            machine_set,
-            phases,
             source_trace,
             target_trace,
             source_truth: truth_src,
             target_truth: truth_dst,
             telemetry,
             samples,
-            rounds,
-            total_bytes: total_bytes.round() as u64,
-            downtime,
-            vm_ram_mib,
-            source_energy,
-            target_energy,
-            idle_power_w,
-            outcome: if aborted {
-                MigrationOutcome::Aborted
+            ..record
+        }
+    }
+
+    /// Apply what the mechanism changed about the migrant to the cluster.
+    fn apply(&mut self, mech: &Mechanism, moves: Moves) {
+        if moves.relocated {
+            self.cluster
+                .relocate_vm(self.migrant, self.source, self.target);
+        }
+        if moves.run_state {
+            let vm = self.cluster.vm_mut(self.migrant).expect("migrant exists");
+            if mech.migrant_running {
+                vm.resume();
             } else {
-                MigrationOutcome::Completed
-            },
-            fault_events,
-            attempt: 0,
-            retry_backoff: SimDuration::ZERO,
+                vm.suspend();
+            }
         }
     }
 }
@@ -1059,7 +585,9 @@ impl MigrationSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MigrationKind;
     use wavm3_cluster::{hardware, vm_instances, Link, MachineSet};
+    use wavm3_simkit::SimDuration;
     use wavm3_workloads::{IdleWorkload, MatMulWorkload, PageDirtierWorkload};
 
     /// Build the canonical two-host scenario: `load_vms` load-cpu guests on
