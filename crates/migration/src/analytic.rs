@@ -779,13 +779,11 @@ pub(crate) fn run_analytic_reusing(
                 let now_us = now.as_micros();
                 // A span tick starts before the next event ...
                 let mut start_lim = HORIZON.as_micros();
-                if let Some(t) = mech.pending_resume() {
+                for t in [mech.pending_resume(), mech.pending_abort()]
+                    .into_iter()
+                    .flatten()
+                {
                     start_lim = start_lim.min(t.as_micros());
-                }
-                if let Some(t) = mech.fault_plan.abort_at() {
-                    if mech.abort_armed() {
-                        start_lim = start_lim.min(t.as_micros());
-                    }
                 }
                 if mech.stage == Stage::Transfer {
                     for w in mech.fault_plan.link_windows() {

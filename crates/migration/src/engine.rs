@@ -288,7 +288,7 @@ impl Mechanism {
             self.stage = Stage::Post;
             moves.edge = true;
         }
-        if self.abort_armed() && self.fault_plan.abort_at().is_some_and(|t| now >= t) {
+        if self.pending_abort().is_some_and(|t| now >= t) {
             // Roll the migration back to the source.
             self.aborted = true;
             self.record_fault(FaultEvent::Aborted {
@@ -325,15 +325,16 @@ impl Mechanism {
         .then(|| self.ts + self.cfg.timing.postcopy_handover)
     }
 
-    /// Whether an injected abort can still fire. Post-copy runs are only
-    /// abortable before the handover (once the VM executes on the target
-    /// there is nothing to roll back to); pre-copy and non-live runs are
-    /// abortable until `te`.
+    /// When the injected abort fires, while it still can. Post-copy runs
+    /// are only abortable before the handover (once the VM executes on the
+    /// target there is nothing to roll back to); pre-copy and non-live runs
+    /// are abortable until `te`.
     #[inline]
-    pub(crate) fn abort_armed(&self) -> bool {
-        !self.aborted
+    pub(crate) fn pending_abort(&self) -> Option<SimTime> {
+        let armed = !self.aborted
             && matches!(self.stage, Stage::Initiation | Stage::Transfer)
-            && !self.migrant_on_target
+            && !self.migrant_on_target;
+        self.fault_plan.abort_at().filter(|_| armed)
     }
 
     /// Whether the post-copy demand ramp is on: the migrant's demand

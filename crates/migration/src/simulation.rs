@@ -372,8 +372,6 @@ impl MigrationSimulation {
 
             // --- Ground-truth power for both hosts at this instant. ---
             let migr_nic = self.cluster.link.line_utilisation(current_bw);
-            let src_nic_util = (migr_nic + src_bg).min(1.0);
-            let dst_nic_util = (migr_nic + dst_bg).min(1.0);
             let (svc_src, svc_dst) = mech.service_power();
             let mem_activity = |cluster: &Cluster, host: HostId, extra_pages_per_s: f64| {
                 let mut rate = extra_pages_per_s;
@@ -388,13 +386,13 @@ impl MigrationSimulation {
             };
             let src_inputs = PowerInputs {
                 cpu_utilisation: src_alloc.utilisation(),
-                nic_utilisation: src_nic_util,
+                nic_utilisation: (migr_nic + src_bg).min(1.0),
                 mem_activity: mem_activity(&self.cluster, self.source, 0.0),
                 service_w: svc_src,
             };
             let dst_inputs = PowerInputs {
                 cpu_utilisation: dst_alloc.utilisation(),
-                nic_utilisation: dst_nic_util,
+                nic_utilisation: (migr_nic + dst_bg).min(1.0),
                 mem_activity: mem_activity(
                     &self.cluster,
                     self.target,
