@@ -45,7 +45,7 @@ pub(crate) enum Stage {
 /// In-flight transfer bookkeeping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Xfer {
-    pub(crate) round: usize,
+    round: usize,
     pub(crate) remaining_bytes: f64,
     pub(crate) round_bytes_sent: f64,
     round_start: SimTime,
@@ -138,7 +138,7 @@ pub(crate) struct Mechanism {
     pub(crate) vm_ram_mib: u64,
     pub(crate) migrant_ram_bytes: u64,
     /// The migrant's working set, pages: where its dirty set saturates.
-    pub(crate) migrant_ws_pages: f64,
+    migrant_ws_pages: f64,
     pub(crate) fault_plan: FaultPlan,
     pub(crate) fault_events: Vec<FaultEvent>,
     /// Degraded-link windows already entered (each is reported once).
