@@ -1,4 +1,4 @@
-//! A physical host: machine spec + resident VMs + migration CPU load.
+//! A physical host: machine spec + resident VMs.
 
 use crate::cpu::{vmm_overhead_cores, CpuAccounting, CpuAllocation};
 use crate::ids::{HostId, VmId};
@@ -15,8 +15,6 @@ pub struct Host {
     pub spec: MachineSpec,
     /// Resident VMs, in placement order (deterministic iteration).
     vms: Vec<Vm>,
-    /// CPU demand injected by an in-flight migration on this host, cores.
-    migration_cores: f64,
 }
 
 impl Host {
@@ -26,7 +24,6 @@ impl Host {
             id,
             spec,
             vms: Vec::new(),
-            migration_cores: 0.0,
         }
     }
 
@@ -62,33 +59,19 @@ impl Host {
         &self.vms
     }
 
-    /// Mutable iteration over resident VMs.
-    pub fn vms_mut(&mut self) -> impl Iterator<Item = &mut Vm> {
-        self.vms.iter_mut()
-    }
-
     /// Number of resident VMs in the `Running` state.
     pub fn running_vm_count(&self) -> usize {
         self.vms.iter().filter(|v| v.is_running()).count()
     }
 
-    /// Set the CPU demand of an in-flight migration touching this host
-    /// (`CPU_migr(h,t)` in paper Eq. 2). Clamped to non-negative.
-    pub fn set_migration_cores(&mut self, cores: f64) {
-        self.migration_cores = cores.max(0.0);
-    }
-
-    /// Current migration CPU demand, cores.
-    pub fn migration_cores(&self) -> f64 {
-        self.migration_cores
-    }
-
-    /// Aggregate CPU demand decomposed per paper Eq. 2.
+    /// Aggregate CPU demand decomposed per paper Eq. 2. The migration
+    /// term `CPU_migr(h,t)` is zero here: the migration engine adds its
+    /// own cores when it allocates.
     pub fn cpu_accounting(&self) -> CpuAccounting {
         CpuAccounting {
             vmm_cores: vmm_overhead_cores(self.running_vm_count()),
             vm_cores: self.vms.iter().map(|v| v.cpu_demand()).sum(),
-            migration_cores: self.migration_cores,
+            migration_cores: 0.0,
         }
     }
 
@@ -100,12 +83,6 @@ impl Host {
     /// Host CPU utilisation `CPU(h,t)` in `[0, 1]`.
     pub fn utilisation(&self) -> f64 {
         self.cpu_allocation().utilisation()
-    }
-
-    /// Fraction of requested CPU each consumer receives (1.0 when not
-    /// multiplexed) — what the migration process's bandwidth scales by.
-    pub fn cpu_grant_scale(&self) -> f64 {
-        self.cpu_allocation().scale
     }
 
     /// Free RAM in MiB after resident VM reservations (dom-0 excluded: its
@@ -162,14 +139,12 @@ mod tests {
         v2.set_cpu_demand(2.0);
         h.attach_vm(v1);
         h.attach_vm(v2);
-        h.set_migration_cores(1.5);
         let acc = h.cpu_accounting();
         assert_eq!(acc.vm_cores, 6.0);
-        assert_eq!(acc.migration_cores, 1.5);
         assert!(acc.vmm_cores > 0.0);
         // m01 has 32 logical CPUs: nowhere near multiplexing.
         assert!(!h.cpu_allocation().is_multiplexed());
-        assert_eq!(h.cpu_grant_scale(), 1.0);
+        assert_eq!(h.cpu_allocation().scale, 1.0);
     }
 
     #[test]
@@ -184,7 +159,7 @@ mod tests {
         let alloc = h.cpu_allocation();
         assert!(alloc.is_multiplexed());
         assert!((h.utilisation() - 1.0).abs() < 1e-12);
-        assert!(h.cpu_grant_scale() < 1.0);
+        assert!(alloc.scale < 1.0);
     }
 
     #[test]
@@ -213,12 +188,5 @@ mod tests {
         assert_eq!(h.free_ram_mib(), 1024);
         assert!(h.fits_ram(1024));
         assert!(!h.fits_ram(2048));
-    }
-
-    #[test]
-    fn migration_cores_clamped_non_negative() {
-        let mut h = host();
-        h.set_migration_cores(-5.0);
-        assert_eq!(h.migration_cores(), 0.0);
     }
 }

@@ -13,15 +13,15 @@
 //!
 //! ## The hot path
 //!
-//! On the analytic path (with no trace sink recording) a scenario builds
-//! one prototype [`MigrationSimulation`] and re-runs it for every
-//! repetition with that repetition's RNG root, threading a worker-local
-//! [`RunSlot`] arena through
-//! [`MigrationSimulation::run_analytic_reusing`] so the steady-state
-//! loop performs no heap allocation. Run keys and panic contexts are
-//! built lazily ([`wavm3_obs::run_scope_with`],
-//! [`wavm3_harness::run_isolated_with`]), so with observability off a
-//! repetition costs the simulation itself and nothing else.
+//! On both paths a scenario builds one prototype [`MigrationSimulation`]
+//! and re-runs it for every repetition with that repetition's RNG root,
+//! threading a worker-local [`RunSlot`] arena through
+//! [`MigrationSimulation::run_reusing`], which picks the engine. On the
+//! analytic path the steady-state loop performs no heap allocation. Run
+//! keys and panic contexts are built lazily
+//! ([`wavm3_obs::run_scope_with`], [`wavm3_harness::run_isolated_with`]),
+//! so with observability off a repetition costs the simulation itself and
+//! nothing else.
 
 use crate::scenario::Scenario;
 use rayon::prelude::*;
@@ -230,10 +230,9 @@ fn run_key(id: &str, rep: u64, attempt: u32) -> String {
 }
 
 /// Everything a scenario's repetitions share, computed exactly once: the
-/// id string, the RNG scope, the migration config, and — on the analytic
-/// path with no trace sink recording — a prototype simulation that every
-/// repetition re-runs with its own RNG root instead of rebuilding the
-/// cluster, workloads and config from scratch.
+/// id string, the RNG scope, the migration config, and a prototype
+/// simulation that every repetition re-runs with its own RNG root instead
+/// of rebuilding the cluster, workloads and config from scratch.
 struct ScenarioCtx<'a> {
     scenario: &'a Scenario,
     cfg: &'a RunnerConfig,
@@ -243,6 +242,7 @@ struct ScenarioCtx<'a> {
     /// Fault config when injection is enabled (the retry protocol only
     /// engages on this path).
     faults: Option<FaultConfig>,
+    /// `None` when construction panicked.
     prototype: Option<MigrationSimulation>,
 }
 
@@ -256,20 +256,14 @@ impl<'a> ScenarioCtx<'a> {
             None => MigrationConfig::new(scenario.kind),
         };
         config.path = cfg.path;
-        // Mirror `MigrationSimulation::run`'s dispatch: the analytic path
-        // only runs when no trace sink needs per-sample rows. The stored
-        // RNG is a placeholder — `run_analytic_reusing` takes the real
+        // The stored RNG is a placeholder — `run_reusing` takes the real
         // per-repetition root as an argument. A panic during construction
         // falls back to the per-repetition build, where supervision
-        // captures it as a structured rep-0 failure exactly as before.
-        let prototype = if cfg.path == SimulationPath::Analytic && !wavm3_obs::tracing_active() {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                scenario.build_with_config(scope.child(0), config)
-            }))
-            .ok()
-        } else {
-            None
-        };
+        // captures it as a structured rep-0 failure.
+        let prototype = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scenario.build_with_config(scope.child(0), config)
+        }))
+        .ok();
         ScenarioCtx {
             scenario,
             cfg,
@@ -281,16 +275,18 @@ impl<'a> ScenarioCtx<'a> {
         }
     }
 
-    /// One simulation run with the given RNG root — through the
-    /// prototype and the worker's recycled [`RunSlot`] when eligible,
-    /// otherwise the classic build-and-run (bit-identical either way).
+    /// One simulation run with the given RNG root, through the prototype
+    /// and the worker's recycled [`RunSlot`].
     fn run_once(&self, rng: RngFactory) -> MigrationRecord {
-        match &self.prototype {
-            Some(sim) => {
-                RUN_SLOT.with(|slot| sim.run_analytic_reusing(rng, &mut slot.borrow_mut()))
+        let rebuilt;
+        let sim = match &self.prototype {
+            Some(sim) => sim,
+            None => {
+                rebuilt = self.scenario.build_with_config(rng, self.config);
+                &rebuilt
             }
-            None => self.scenario.build_with_config(rng, self.config).run(),
-        }
+        };
+        RUN_SLOT.with(|slot| sim.run_reusing(rng, &mut slot.borrow_mut()))
     }
 }
 
@@ -536,11 +532,9 @@ pub fn run_scenario_supervised(
 /// report under the sampled name, so the figure always describes the
 /// engine that produced it.
 pub fn throughput_gauge(cfg: &RunnerConfig) -> &'static str {
-    match cfg.path {
-        SimulationPath::Analytic if !wavm3_obs::tracing_active() => {
-            "runner.throughput_runs_per_s.analytic"
-        }
-        _ => "runner.throughput_runs_per_s.sampled",
+    match cfg.path.effective() {
+        SimulationPath::Analytic => "runner.throughput_runs_per_s.analytic",
+        SimulationPath::Sampled => "runner.throughput_runs_per_s.sampled",
     }
 }
 

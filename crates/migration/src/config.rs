@@ -208,6 +208,17 @@ impl SimulationPath {
             SimulationPath::Analytic => "analytic",
         }
     }
+
+    /// The engine a run on this path executes right now: the analytic
+    /// path materialises no per-sample rows, so while a trace sink is
+    /// recording its runs fall back to the sampled engine.
+    pub fn effective(self) -> SimulationPath {
+        if wavm3_obs::tracing_active() {
+            SimulationPath::Sampled
+        } else {
+            self
+        }
+    }
 }
 
 /// Environmental noise parameters: the per-run jitter draws and the

@@ -1,4 +1,4 @@
-//! The migration mechanism both engines drive.
+//! The migration mechanism and the host state both engines drive.
 //!
 //! Every phase edge the energy model prices comes from here: the stage
 //! machine (initiation at `ms`, transfer at `ts`, activation at `te`), the
@@ -8,23 +8,35 @@
 //! CPU-coupled bandwidth, per-stage service power, and the end of the run:
 //! phase instants, downtime, outcome and the `migration.*` metrics.
 //!
-//! [`Mechanism`] owns that state. Each engine keeps only its integrator —
-//! the sampled engine mutates a `Cluster` and samples 2 Hz meters, the
-//! analytic engine folds slot arrays and integrates each tick's power
-//! exactly. Once per tick an engine asks for the stage edges, applies the
-//! [`Moves`] they report to its own host state, resolves its CPU
-//! allocations, asks for the coupled bandwidth, advances the transfer and
+//! [`Mechanism`] owns that state; [`Hosts`] owns the endpoints' state, one
+//! [`Slot`] per resident VM in placement order, so no engine mutates its
+//! scenario. Once per tick an engine asks for the stage edges, applies the
+//! [`Moves`] they report to the slots, runs the tick prelude
+//! ([`Hosts::prelude`]: demand refresh, the migration's CPU, the Eq. 2
+//! allocations and the coupled bandwidth), advances the transfer and
 //! applies that step's moves in turn. Both engines therefore make the same
 //! decisions from the same inputs.
+//!
+//! The engines differ in one host-state decision, made when they build the
+//! slots: the analytic engine reads each workload's closed forms
+//! (`demand_profile()`), the sampled engine none
+//! (`WorkloadProfile::general()`), so every value it uses is a trait call.
+//! Beyond that each keeps only its integrator — the sampled engine samples
+//! 2 Hz meters, the analytic engine integrates each tick's power exactly.
 
 use crate::config::{EnvNoise, MigrationConfig, MigrationKind};
 use crate::record::{MigrationOutcome, MigrationRecord, RoundStats};
 use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
-use wavm3_cluster::{Link, MachineSet, PowerProfile, PAGE_SIZE_BYTES};
+use std::sync::Arc;
+use wavm3_cluster::{
+    cpu::vmm_overhead_cores, CpuAccounting, CpuAllocation, HostId, Link, MachineSet, PowerProfile,
+    PAGE_SIZE_BYTES,
+};
 use wavm3_faults::{observe_fault, FaultEvent, FaultPlan};
 use wavm3_obs::{metrics, LedgerEntry, Level, RoleLedger, TermEnergy};
 use wavm3_power::{EnergyBreakdown, PhaseTimes, PowerTrace, TelemetryRecorder};
 use wavm3_simkit::{RngFactory, SimDuration, SimTime};
+use wavm3_workloads::{DemandProfile, Workload, WorkloadProfile};
 
 /// Generous hard cap on simulated time: no scenario in the paper runs
 /// longer than a few hundred seconds.
@@ -166,14 +178,11 @@ pub(crate) struct Mechanism {
 
 impl Mechanism {
     /// The run prologue: endpoint specs, this run's jitter and fault plan,
-    /// and the phase instants known up front. `rounds` and `link_seen` are
-    /// recycled buffers; only their capacity survives.
-    pub(crate) fn new(
-        sim: &MigrationSimulation,
-        rng: &RngFactory,
-        mut rounds: Vec<RoundStats>,
-        mut link_seen: Vec<bool>,
-    ) -> Self {
+    /// and the phase instants known up front. The round and link-window
+    /// buffers come from `arena`; only their capacity survives.
+    pub(crate) fn new(sim: &MigrationSimulation, rng: &RngFactory, arena: &mut RunSlot) -> Self {
+        let mut rounds = std::mem::take(&mut arena.rounds);
+        let mut link_seen = std::mem::take(&mut arena.link_seen);
         let cfg = sim.config;
         let vm = sim.cluster.vm(sim.migrant).expect("migrant exists");
         let migrant_ram_bytes = vm.memory.total_bytes();
@@ -730,11 +739,6 @@ impl Mechanism {
         }
     }
 
-    /// Hand back the recycled buffers [`Mechanism::new`] took.
-    pub(crate) fn into_buffers(self) -> (Vec<RoundStats>, Vec<bool>) {
-        (self.rounds, self.link_seen)
-    }
-
     /// Book the run in the energy ledger from each role's per-term energy
     /// over initiation, transfer and the post-`te` window; after an abort
     /// that window is rollback, not activation.
@@ -761,3 +765,411 @@ impl Mechanism {
         });
     }
 }
+
+/// Recycled per-worker buffers for repeated runs.
+///
+/// A campaign worker holds one `RunSlot` and threads it through every
+/// repetition it executes ([`MigrationSimulation::run_reusing`]); the host
+/// slot vectors, round-statistics buffer and fault-window bitmap keep their
+/// capacity between runs, so the analytic engine's steady-state tick loop
+/// performs no heap allocation at all. A default (empty) slot behaves
+/// identically to the one-shot path — results are a pure function of the
+/// scenario and RNG, never of what the buffers held before.
+#[derive(Default)]
+pub struct RunSlot {
+    src_slots: Vec<Slot>,
+    dst_slots: Vec<Slot>,
+    rounds: Vec<RoundStats>,
+    link_seen: Vec<bool>,
+}
+
+impl RunSlot {
+    /// Take back the buffers of a finished run.
+    pub(crate) fn recycle(&mut self, mech: Mechanism, hosts: Hosts) {
+        self.rounds = mech.rounds;
+        self.link_seen = mech.link_seen;
+        self.src_slots = hosts.src.slots;
+        self.dst_slots = hosts.dst.slots;
+    }
+}
+
+/// A CPU-demand curve specialised for per-tick evaluation.
+enum CpuCurve {
+    /// Time-invariant demand.
+    Constant(f64),
+    /// `target·(1 + half_ripple·sin)` advanced by a unit rotation per
+    /// tick — the matmul ripple without a `sin` call in the loop.
+    Osc {
+        s: f64,
+        c: f64,
+        step_s: f64,
+        step_c: f64,
+        target: f64,
+        half_ripple: f64,
+    },
+    /// No closed form: query the trait object every tick.
+    General,
+}
+
+/// One resident VM in a host's placement order — the struct-of-arrays
+/// `Vm` twin the engines step instead of a `Cluster`.
+pub(crate) struct Slot {
+    pub(crate) vcpus: f64,
+    /// Stored demand, clamped like `Vm::set_cpu_demand`.
+    pub(crate) demand: f64,
+    pub(crate) running: bool,
+    is_migrant: bool,
+    cpu: CpuCurve,
+    /// Constant page-write rate, or `None` → trait query per use.
+    write_rate: Option<f64>,
+    /// Constant NIC line share, or `None` → trait query per use.
+    line_share: Option<f64>,
+    /// Trait object for `General` fallbacks; `None` for VMs with no
+    /// workload attached.
+    wl: Option<Arc<dyn Workload>>,
+}
+
+impl Slot {
+    /// Refresh the stored demand (advancing a ripple oscillator by one
+    /// tick), scaled by `migrant_factor` on the migrant's slot and clamped
+    /// like `Vm::set_cpu_demand`.
+    #[inline]
+    fn refresh_demand(&mut self, now: SimTime, migrant_factor: f64) {
+        let Some(wl) = &self.wl else { return };
+        let mut demand = match &mut self.cpu {
+            CpuCurve::Constant(c) => *c,
+            CpuCurve::Osc {
+                s,
+                c,
+                step_s,
+                step_c,
+                target,
+                half_ripple,
+            } => {
+                let factor = 1.0 + *half_ripple * *s;
+                let d = (*target * factor).max(0.0);
+                let (ns, nc) = (*s * *step_c + *c * *step_s, *c * *step_c - *s * *step_s);
+                *s = ns;
+                *c = nc;
+                d
+            }
+            CpuCurve::General => wl.cpu_demand(now),
+        };
+        if self.is_migrant {
+            demand *= migrant_factor;
+        }
+        self.demand = demand.clamp(0.0, self.vcpus);
+    }
+
+    #[inline]
+    fn write_rate_at(&self, t: SimTime) -> f64 {
+        match self.write_rate {
+            Some(r) => r,
+            None => self
+                .wl
+                .as_ref()
+                .map(|w| w.page_write_rate(t))
+                .unwrap_or(0.0),
+        }
+    }
+
+    #[inline]
+    fn line_share_at(&self, t: SimTime) -> f64 {
+        match self.line_share {
+            Some(v) => v,
+            None => self.wl.as_ref().map(|w| w.line_share(t)).unwrap_or(0.0),
+        }
+    }
+
+    /// Whether the slot's line-share and write-rate folds are profile
+    /// constants (or it has no workload to fold).
+    pub(crate) fn folds_constant(&self) -> bool {
+        self.wl.is_none() || (self.write_rate.is_some() && self.line_share.is_some())
+    }
+}
+
+/// Placement-order folds the engine needs once per tick, produced by a
+/// single fused pass over a host's slots.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct TickSums {
+    /// CPU demand fold of running VMs (placement order, starts at 0.0 —
+    /// the exact fold `Host::cpu_accounting` performs).
+    pub(crate) vm_cores: f64,
+    /// Running VM count (with or without a workload) for the VMM
+    /// overhead curve.
+    pub(crate) running: usize,
+    /// NIC line-share fold of running guests with workloads (uncapped).
+    line_share: f64,
+    /// Page-write-rate fold of running guests with workloads.
+    pub(crate) write_rate: f64,
+}
+
+impl TickSums {
+    /// Background NIC line share, capped at the line.
+    #[inline]
+    pub(crate) fn bg(&self) -> f64 {
+        self.line_share.min(1.0)
+    }
+}
+
+/// What a tick resolves before its transfer step: demands, allocations and
+/// the coupled bandwidth. The analytic engine's last full tick's copy is
+/// the cache that semi-cached ticks and spans reuse.
+#[derive(Clone, Copy)]
+pub(crate) struct Prelude {
+    pub(crate) migrant_factor: f64,
+    /// The migrant's page-write rate.
+    pub(crate) migrant_wr: f64,
+    pub(crate) src: TickSums,
+    pub(crate) dst: TickSums,
+    pub(crate) src_alloc: CpuAllocation,
+    pub(crate) dst_alloc: CpuAllocation,
+    pub(crate) bw: f64,
+}
+
+/// One host's mutable simulation state.
+pub(crate) struct HostState {
+    capacity: f64,
+    pub(crate) slots: Vec<Slot>,
+    /// Every demand curve is constant and every fold a profile constant,
+    /// so the host's allocation and power are frozen between events. Goes
+    /// stale when the migrant's slot relocates.
+    pub(crate) constant: bool,
+}
+
+impl HostState {
+    /// Build host `id`'s slot array into `slots` (a recycled buffer —
+    /// cleared first, so only its capacity survives between runs), with
+    /// each workload described by `profile_of` and ripple curves
+    /// positioned at `t0`.
+    fn new(
+        sim: &MigrationSimulation,
+        id: HostId,
+        t0: SimTime,
+        profile_of: fn(&dyn Workload) -> WorkloadProfile,
+        mut slots: Vec<Slot>,
+    ) -> Self {
+        use std::f64::consts::TAU;
+        let dt_s = sim.config.timing.tick.as_secs_f64();
+        let host = sim.cluster.host(id);
+        slots.clear();
+        slots.extend(host.vms().iter().map(|vm| {
+            let wl = sim.workloads.get(&vm.id).cloned();
+            let profile = wl.as_deref().map(profile_of);
+            let cpu = match profile.as_ref().map(|p| p.cpu) {
+                Some(DemandProfile::Constant(c)) => CpuCurve::Constant(c),
+                Some(DemandProfile::Ripple {
+                    target,
+                    ripple,
+                    period_s,
+                    phase,
+                }) => {
+                    let arg = TAU * (t0.as_secs_f64() / period_s + phase);
+                    let step = TAU * (dt_s / period_s);
+                    CpuCurve::Osc {
+                        s: arg.sin(),
+                        c: arg.cos(),
+                        step_s: step.sin(),
+                        step_c: step.cos(),
+                        target,
+                        half_ripple: 0.5 * ripple,
+                    }
+                }
+                Some(DemandProfile::General) => CpuCurve::General,
+                // No workload attached: demand is never refreshed.
+                None => CpuCurve::Constant(0.0),
+            };
+            Slot {
+                vcpus: vm.spec.vcpus as f64,
+                demand: 0.0,
+                running: vm.is_running(),
+                is_migrant: vm.id == sim.migrant,
+                cpu,
+                write_rate: profile.as_ref().and_then(|p| p.page_write_rate),
+                line_share: profile.as_ref().and_then(|p| p.line_share),
+                wl,
+            }
+        }));
+        let mut state = HostState {
+            capacity: host.spec.cpu_capacity(),
+            slots,
+            constant: false,
+        };
+        state.constant = state.is_constant();
+        state
+    }
+
+    fn is_constant(&self) -> bool {
+        self.slots
+            .iter()
+            .all(|s| matches!(s.cpu, CpuCurve::Constant(_)) && s.folds_constant())
+    }
+
+    /// Refresh every workload's CPU demand (advancing each ripple
+    /// oscillator by one tick) and fold the sums this tick needs, all in
+    /// one placement-order pass. `migrant_factor` is the post-copy
+    /// degraded-demand multiplier, applied to the migrant slot only
+    /// (pass 1.0 otherwise — an exact no-op).
+    ///
+    /// Suspension flags must be synced *before* the call: the folds read
+    /// them, exactly like `Vm::cpu_demand` gating on the Running state.
+    #[inline]
+    fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
+        let mut sums = TickSums::default();
+        for slot in &mut self.slots {
+            slot.refresh_demand(now, migrant_factor);
+            if slot.running {
+                sums.running += 1;
+                sums.vm_cores += slot.demand;
+                if slot.wl.is_some() {
+                    sums.line_share += slot.line_share_at(now);
+                    sums.write_rate += slot.write_rate_at(now);
+                }
+            } else {
+                sums.vm_cores += 0.0;
+            }
+        }
+        sums
+    }
+
+    /// Advance every demand curve and fold running `vm_cores` only — the
+    /// per-tick work of a host whose line-share / write-rate folds are
+    /// profile constants (cached between events). The demand updates and
+    /// the fold order are exactly [`HostState::refresh_tick`]'s, so the
+    /// result is bit-identical to the full pass.
+    #[inline]
+    pub(crate) fn refresh_vm_cores(&mut self, now: SimTime, migrant_factor: f64) -> f64 {
+        let mut vm_cores = 0.0;
+        for slot in &mut self.slots {
+            slot.refresh_demand(now, migrant_factor);
+            if slot.running {
+                vm_cores += slot.demand;
+            }
+        }
+        vm_cores
+    }
+
+    /// `start` plus the placement-order write-rate fold of running guests,
+    /// at the placement and suspension state of the call: the
+    /// memory-activity term reads the state after the transfer step.
+    pub(crate) fn write_rate_sum(&self, start: f64, t: SimTime) -> f64 {
+        let mut rate = start;
+        for s in &self.slots {
+            if s.running && s.wl.is_some() {
+                rate += s.write_rate_at(t);
+            }
+        }
+        rate
+    }
+
+    /// The host's CPU allocation (Eq. 2) for `running` VMs demanding
+    /// `vm_cores`, plus the migration's own `migration_cores`.
+    #[inline]
+    pub(crate) fn allocate(
+        &self,
+        running: usize,
+        vm_cores: f64,
+        migration_cores: f64,
+    ) -> CpuAllocation {
+        CpuAccounting {
+            vmm_cores: vmm_overhead_cores(running),
+            vm_cores,
+            migration_cores: migration_cores.max(0.0),
+        }
+        .allocate(self.capacity)
+    }
+}
+
+/// Both endpoints' host state, and where the migrant's slot sits.
+pub(crate) struct Hosts {
+    pub(crate) src: HostState,
+    pub(crate) dst: HostState,
+    /// The migrant's index in the placement order of the host holding it.
+    m_idx: usize,
+}
+
+impl Hosts {
+    /// Build both endpoints' slot arrays in `arena`'s buffers, with ripple
+    /// curves positioned at `t0`. `profile_of` is the engine's closed-form
+    /// choice: each workload's `demand_profile()`, or
+    /// `WorkloadProfile::general()` for a trait call per value.
+    pub(crate) fn new(
+        sim: &MigrationSimulation,
+        t0: SimTime,
+        profile_of: fn(&dyn Workload) -> WorkloadProfile,
+        arena: &mut RunSlot,
+    ) -> Self {
+        let host = |id, slots| HostState::new(sim, id, t0, profile_of, slots);
+        let src = host(sim.source, std::mem::take(&mut arena.src_slots));
+        let dst = host(sim.target, std::mem::take(&mut arena.dst_slots));
+        let m_idx = src
+            .slots
+            .iter()
+            .position(|s| s.is_migrant)
+            .expect("migrant starts on the source");
+        Hosts { src, dst, m_idx }
+    }
+
+    /// The migrant's slot, on whichever host holds it.
+    #[inline]
+    pub(crate) fn migrant(&self, mech: &Mechanism) -> &Slot {
+        let host = if mech.migrant_on_target {
+            &self.dst
+        } else {
+            &self.src
+        };
+        &host.slots[self.m_idx]
+    }
+
+    /// Apply `moves` to the slot arrays: move the migrant's slot to the end
+    /// of the target's placement order, as `Cluster::relocate_vm` does, and
+    /// sync its run state. Returns whether the migrant's placement or run
+    /// state changed.
+    #[inline]
+    pub(crate) fn apply_moves(&mut self, mech: &Mechanism, moves: Moves) -> bool {
+        if moves.relocated {
+            let slot = self.src.slots.remove(self.m_idx);
+            self.dst.slots.push(slot);
+            self.m_idx = self.dst.slots.len() - 1;
+            self.src.constant = self.src.is_constant();
+            self.dst.constant = self.dst.is_constant();
+        }
+        if moves.run_state {
+            let host = if mech.migrant_on_target {
+                &mut self.dst
+            } else {
+                &mut self.src
+            };
+            host.slots[self.m_idx].running = mech.migrant_running;
+        }
+        moves.relocated || moves.run_state
+    }
+
+    /// The full tick prelude: refresh every demand and fold each host's
+    /// sums, then resolve the migration's own CPU, both allocations and the
+    /// coupled bandwidth. The migrant's write rate comes from its slot
+    /// whether or not it runs.
+    #[inline]
+    pub(crate) fn prelude(&mut self, mech: &mut Mechanism, now: SimTime) -> Prelude {
+        let migrant_factor = mech.migrant_factor();
+        let src = self.src.refresh_tick(now, migrant_factor);
+        let dst = self.dst.refresh_tick(now, migrant_factor);
+        let migrant_wr = self.migrant(mech).write_rate_at(now);
+        let (migr_src, migr_dst) = mech.migration_cores(migrant_wr);
+        let src_alloc = self.src.allocate(src.running, src.vm_cores, migr_src);
+        let dst_alloc = self.dst.allocate(dst.running, dst.vm_cores, migr_dst);
+        let bw = mech.coupled_bandwidth(now, src_alloc.scale, dst_alloc.scale, src.bg(), dst.bg());
+        Prelude {
+            migrant_factor,
+            migrant_wr,
+            src,
+            dst,
+            src_alloc,
+            dst_alloc,
+            bw,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -53,11 +53,11 @@ pub mod record;
 pub mod simulation;
 pub mod sla;
 
-pub use analytic::RunSlot;
 pub use config::{
     EnvNoise, MigrationConfig, MigrationCpuCost, MigrationKind, PrecopyConfig, ServicePower,
     SimulationPath, TimingConfig,
 };
+pub use engine::RunSlot;
 pub use record::{FeatureSample, MigrationOutcome, MigrationRecord, RoundStats};
 pub use simulation::MigrationSimulation;
 pub use sla::SlaReport;

@@ -11,7 +11,7 @@
 //! on their own 2 Hz schedule, exactly like the paper's instrumentation.
 
 use crate::config::{EnvNoise, MigrationConfig, SimulationPath};
-use crate::engine::{Mechanism, Moves, Stage, HORIZON};
+use crate::engine::{Hosts, Mechanism, RunSlot, Stage, HORIZON};
 use crate::record::{FeatureSample, MigrationRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use wavm3_power::{
     PowerMeter, PowerTerms, PowerTrace, TelemetryRecorder,
 };
 use wavm3_simkit::{RngFactory, SimTime};
-use wavm3_workloads::Workload;
+use wavm3_workloads::{Workload, WorkloadProfile};
 
 /// Page-write rate treated as 100 % memory-bus contention (pages/s).
 pub const PEAK_PAGE_WRITE_RATE: f64 = 250_000.0;
@@ -212,68 +212,53 @@ impl MigrationSimulation {
     }
 
     /// Run the scenario to completion on the configured
-    /// [`SimulationPath`].
-    ///
-    /// The analytic path integrates per-phase energy in closed form and
-    /// materialises no per-sample rows, so whenever a trace sink is
-    /// recording (and therefore needs every meter sample) the run falls
-    /// back to the sampled reference engine.
+    /// [`SimulationPath`]: [`Self::run_reusing`] with the scenario's own
+    /// RNG root and fresh buffers.
     pub fn run(self) -> MigrationRecord {
-        if self.config.path == SimulationPath::Analytic && !wavm3_obs::tracing_active() {
-            self.run_analytic_reusing(self.rng, &mut crate::analytic::RunSlot::default())
-        } else {
-            self.run_sampled()
-        }
+        self.run_reusing(self.rng, &mut RunSlot::default())
     }
 
-    /// Run the analytic path on a borrowed scenario, with the per-run
-    /// RNG root supplied by the caller and all transient buffers
-    /// recycled through `slot`.
+    /// Run the scenario on the configured [`SimulationPath`] with the
+    /// caller's per-run RNG root, recycling all transient buffers through
+    /// `slot`. No engine mutates the scenario, so one prototype serves
+    /// every repetition, bit-identical to a fresh build per run.
     ///
-    /// This is the campaign engine's hot loop: one simulation prototype
-    /// is built per scenario and re-run for every repetition with a
-    /// different `rng`, skipping the cluster/workload rebuild and every
-    /// per-run buffer allocation. For the same `(self, rng)` the result
-    /// is bit-identical to `self.run()` on the analytic path.
-    ///
-    /// Callers are responsible for the fallback rule [`Self::run`]
-    /// applies: when a trace sink is recording, the analytic path cannot
-    /// serve it (no per-sample rows) and the sampled engine must be used
-    /// instead.
-    pub fn run_analytic_reusing(
-        &self,
-        rng: RngFactory,
-        slot: &mut crate::analytic::RunSlot,
-    ) -> MigrationRecord {
-        crate::analytic::run_analytic_reusing(self, rng, slot)
+    /// The analytic path materialises no per-sample rows, so while a
+    /// trace sink is recording (and needs every meter sample) the run
+    /// falls back to the sampled engine ([`SimulationPath::effective`]).
+    pub fn run_reusing(&self, rng: RngFactory, slot: &mut RunSlot) -> MigrationRecord {
+        match self.config.path.effective() {
+            SimulationPath::Analytic => self.run_analytic_reusing(rng, slot),
+            SimulationPath::Sampled => self.run_sampled(rng, slot),
+        }
     }
 
     /// The sampled reference engine: step the meter grid tick by tick.
     /// A zero tick is rejected by [`MigrationConfig::validate`] at
     /// construction, so the division by `dt` below is always sound.
-    pub(crate) fn run_sampled(mut self) -> MigrationRecord {
+    fn run_sampled(&self, rng: RngFactory, slot: &mut RunSlot) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.sampled");
-        let mut mech = Mechanism::new(&self, &self.rng, Vec::new(), Vec::new());
+        let mut mech = Mechanism::new(self, &rng, slot);
         let cfg = mech.cfg;
         let dt = cfg.timing.tick;
         let dt_s = dt.as_secs_f64();
         let migrant_total_pages = mech.migrant_ram_bytes / PAGE_SIZE_BYTES;
-        let migrant_vcpus = self.cluster.vm(self.migrant).unwrap().spec.vcpus as f64;
         let (src_power, dst_power) = (mech.src_power, mech.dst_power);
+        let mut hosts = Hosts::new(self, SimTime::ZERO, |_| WorkloadProfile::general(), slot);
 
         // Per-run slow wander (see PowerWander) and the 2 Hz meters.
         let noise = cfg.env_noise;
-        let mut src_wander = PowerWander::new(self.rng.stream("wander.source"), &noise);
-        let mut dst_wander = PowerWander::new(self.rng.stream("wander.target"), &noise);
+        let mut src_wander = PowerWander::new(rng.stream("wander.source"), &noise);
+        let mut dst_wander = PowerWander::new(rng.stream("wander.target"), &noise);
         let mut src_meter = PowerMeter::new(
             mech.src_name.clone(),
             src_power.noise_std_w,
-            self.rng.stream("meter.source"),
+            rng.stream("meter.source"),
         );
         let mut dst_meter = PowerMeter::new(
             mech.dst_name.clone(),
             dst_power.noise_std_w,
-            self.rng.stream("meter.target"),
+            rng.stream("meter.target"),
         );
         let mut truth_src = PowerTrace::new(mech.src_name.clone());
         let mut truth_dst = PowerTrace::new(mech.dst_name.clone());
@@ -292,7 +277,7 @@ impl MigrationSimulation {
 
             // --- Stage edges and the injected abort. ---
             let moves = mech.stage_edges(now);
-            self.apply(&mech, moves);
+            hosts.apply_moves(&mech, moves);
             if mech.stage == Stage::Post {
                 let me = mech.me().expect("me set in the tail");
                 let min_end = me + cfg.timing.post_run_min;
@@ -313,91 +298,43 @@ impl MigrationSimulation {
                 }
             }
 
-            // --- Refresh workload CPU demands. ---
-            let migrant_factor = mech.migrant_factor();
-            for host_id in [self.source, self.target] {
-                let host = self.cluster.host_mut(host_id);
-                for vm in host.vms_mut() {
-                    if let Some(w) = self.workloads.get(&vm.id) {
-                        let mut demand = w.cpu_demand(now);
-                        if vm.id == self.migrant {
-                            demand *= migrant_factor;
-                        }
-                        vm.set_cpu_demand(demand);
-                    }
-                }
-            }
-
-            // --- Migration CPU demand per stage. ---
-            let migrant_wr = self
-                .workloads
-                .get(&self.migrant)
-                .map(|w| w.page_write_rate(now))
-                .unwrap_or(0.0);
-            let (migr_src_cores, migr_dst_cores) = mech.migration_cores(migrant_wr);
-            self.cluster
-                .host_mut(self.source)
-                .set_migration_cores(migr_src_cores);
-            self.cluster
-                .host_mut(self.target)
-                .set_migration_cores(migr_dst_cores);
-
-            // --- Resolve CPU allocations and the coupled bandwidth. ---
-            let src_alloc = self.cluster.host(self.source).cpu_allocation();
-            let dst_alloc = self.cluster.host(self.target).cpu_allocation();
-            // Background traffic from network-intensive guests shares the
-            // NIC with the migration stream.
-            let bg_line_share = |cluster: &Cluster, host: HostId| {
-                let mut share = 0.0;
-                for vm in cluster.host(host).vms() {
-                    if vm.is_running() {
-                        if let Some(w) = self.workloads.get(&vm.id) {
-                            share += w.line_share(now);
-                        }
-                    }
-                }
-                share.min(1.0)
-            };
-            let src_bg = bg_line_share(&self.cluster, self.source);
-            let dst_bg = bg_line_share(&self.cluster, self.target);
-            let mut current_bw =
-                mech.coupled_bandwidth(now, src_alloc.scale, dst_alloc.scale, src_bg, dst_bg);
+            // --- Refresh demands, resolve allocations and the bandwidth. ---
+            let p = hosts.prelude(&mut mech, now);
+            let (src_alloc, dst_alloc) = (p.src_alloc, p.dst_alloc);
 
             // --- Advance the transfer within this tick (may cross rounds). ---
-            let moves = mech.advance_transfer(now, dt_s, current_bw, migrant_wr);
-            self.apply(&mech, moves);
-            if moves.edge {
-                current_bw = 0.0;
-            }
+            let moves = mech.advance_transfer(now, dt_s, p.bw, p.migrant_wr);
+            let moved = hosts.apply_moves(&mech, moves);
+            let current_bw = if moves.edge { 0.0 } else { p.bw };
 
             // --- Ground-truth power for both hosts at this instant. ---
+            // The memory-activity term reads the placement after the
+            // transfer step and, on the target, starts from the incoming
+            // state's writes; otherwise the prelude's folds are the sums.
             let migr_nic = self.cluster.link.line_utilisation(current_bw);
             let (svc_src, svc_dst) = mech.service_power();
-            let mem_activity = |cluster: &Cluster, host: HostId, extra_pages_per_s: f64| {
-                let mut rate = extra_pages_per_s;
-                for vm in cluster.host(host).vms() {
-                    if vm.is_running() {
-                        if let Some(w) = self.workloads.get(&vm.id) {
-                            rate += w.page_write_rate(now);
-                        }
-                    }
-                }
-                (rate / PEAK_PAGE_WRITE_RATE).min(1.0)
+            let mem_activity = |rate: f64| (rate / PEAK_PAGE_WRITE_RATE).min(1.0);
+            let loading = mech.state_load_rate(current_bw);
+            let src_wr = if moved {
+                hosts.src.write_rate_sum(0.0, now)
+            } else {
+                p.src.write_rate
+            };
+            let dst_wr = if moved || loading != 0.0 {
+                hosts.dst.write_rate_sum(loading, now)
+            } else {
+                p.dst.write_rate
             };
             let src_inputs = PowerInputs {
                 cpu_utilisation: src_alloc.utilisation(),
-                nic_utilisation: (migr_nic + src_bg).min(1.0),
-                mem_activity: mem_activity(&self.cluster, self.source, 0.0),
+                nic_utilisation: (migr_nic + p.src.bg()).min(1.0),
+                mem_activity: mem_activity(src_wr),
                 service_w: svc_src,
             };
             let dst_inputs = PowerInputs {
                 cpu_utilisation: dst_alloc.utilisation(),
-                nic_utilisation: (migr_nic + dst_bg).min(1.0),
-                mem_activity: mem_activity(
-                    &self.cluster,
-                    self.target,
-                    mech.state_load_rate(current_bw),
-                ),
+                nic_utilisation: (migr_nic + p.dst.bg()).min(1.0),
+                mem_activity: mem_activity(dst_wr),
                 service_w: svc_dst,
             };
             let p_src =
@@ -419,14 +356,14 @@ impl MigrationSimulation {
                 }
 
                 let migrant_cpu_fraction = {
-                    let vm = self.cluster.vm(self.migrant).expect("migrant exists");
-                    if vm.is_running() && migrant_vcpus > 0.0 {
+                    let vm = hosts.migrant(&mech);
+                    if vm.running && vm.vcpus > 0.0 {
                         let host = if mech.migrant_on_target {
                             &dst_alloc
                         } else {
                             &src_alloc
                         };
-                        (host.granted(vm.cpu_demand()) / migrant_vcpus).clamp(0.0, 1.0)
+                        (host.granted(vm.demand) / vm.vcpus).clamp(0.0, 1.0)
                     } else {
                         0.0
                     }
@@ -552,6 +489,8 @@ impl MigrationSimulation {
             );
         }
 
+        slot.recycle(mech, hosts);
+
         MigrationRecord {
             source_trace,
             target_trace,
@@ -560,22 +499,6 @@ impl MigrationSimulation {
             telemetry,
             samples,
             ..record
-        }
-    }
-
-    /// Apply what the mechanism changed about the migrant to the cluster.
-    fn apply(&mut self, mech: &Mechanism, moves: Moves) {
-        if moves.relocated {
-            self.cluster
-                .relocate_vm(self.migrant, self.source, self.target);
-        }
-        if moves.run_state {
-            let vm = self.cluster.vm_mut(self.migrant).expect("migrant exists");
-            if mech.migrant_running {
-                vm.resume();
-            } else {
-                vm.suspend();
-            }
         }
     }
 }
