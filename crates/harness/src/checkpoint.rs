@@ -133,8 +133,8 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Look up `key`, verifying magic, version, key, fingerprint and
-    /// checksum. Invalid files are quarantined, never deleted. Only I/O
+    /// Look up `key`, verifying UTF-8, magic, version, key, fingerprint
+    /// and checksum. Invalid files are quarantined, never deleted. Only I/O
     /// trouble (other than a missing file) is an `Err`.
     pub fn load(&self, key: &str, fingerprint: &str) -> Result<CheckpointLoad, Wavm3Error> {
         if !self.resume {
@@ -142,14 +142,18 @@ impl CheckpointStore {
         }
         let _perf = wavm3_obs::perf::scope("harness.checkpoint.load");
         let path = self.path_for(key);
-        let raw = match fs::read_to_string(&path) {
+        let raw = match fs::read(&path) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(CheckpointLoad::Missing)
             }
             Err(e) => return Err(Wavm3Error::io_at(&path, e)),
         };
-        match Self::verify(&raw, key, fingerprint) {
+        // A flipped high bit can break UTF-8: that is corruption too.
+        let verified = String::from_utf8(raw)
+            .map_err(|e| format!("not valid UTF-8: {e}"))
+            .and_then(|raw| Self::verify(&raw, key, fingerprint));
+        match verified {
             Ok(payload) => {
                 wavm3_obs::metrics::counter_add("harness.checkpoint.loaded", 1);
                 Ok(CheckpointLoad::Valid(payload))
@@ -271,6 +275,28 @@ mod tests {
             s.load("k", "fp").unwrap(),
             CheckpointLoad::Missing
         ));
+        fs::remove_dir_all(s.dir()).ok();
+    }
+
+    #[test]
+    fn every_byte_flip_is_quarantined() {
+        let s = store("flips", true);
+        s.save("fam/live/m/0 VM", "fp01", "[1,2,3]").unwrap();
+        let path = s.path_for("fam/live/m/0 VM");
+        let clean = fs::read(&path).unwrap();
+        for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+            for i in 0..clean.len() {
+                let mut flipped = clean.clone();
+                flipped[i] ^= mask;
+                fs::write(&path, &flipped).unwrap();
+                match s.load("fam/live/m/0 VM", "fp01") {
+                    Ok(CheckpointLoad::Quarantined { path: q, .. }) => {
+                        assert!(q.exists(), "byte {i} ^ {mask:#04x}: evidence must survive")
+                    }
+                    other => panic!("byte {i} ^ {mask:#04x}: expected quarantine, got {other:?}"),
+                }
+            }
+        }
         fs::remove_dir_all(s.dir()).ok();
     }
 

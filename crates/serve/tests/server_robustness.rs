@@ -210,6 +210,9 @@ fn breaker_trips_to_the_degraded_fast_path_instead_of_erroring() {
 fn overload_sheds_with_429_and_never_hangs() {
     // One worker stuck 300 ms per request + a one-slot queue: a burst of
     // five connections must produce a mix of 200s and 429s, all answered.
+    // The first request goes alone, and the other four follow once the
+    // worker sleeps in it; otherwise the accept thread can take all five
+    // before the worker pops the first, queue one and shed four.
     let cfg = ServeConfig {
         workers: 1,
         queue_capacity: 1,
@@ -225,24 +228,38 @@ fn overload_sheds_with_429_and_never_hangs() {
     };
     let handle = wavm3_serve::start(cfg).expect("start");
     let addr = handle.local_addr();
-    let clients: Vec<_> = (0..5)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .expect("read timeout");
-                roundtrip(
-                    &mut stream,
-                    "POST",
-                    "/predict",
-                    &[],
-                    br#"{"kind": "live", "ram_mib": 1024}"#,
-                )
-                .expect("every connection gets an answer")
-            })
+    let client = move || {
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            roundtrip(
+                &mut stream,
+                "POST",
+                "/predict",
+                &[],
+                br#"{"kind": "live", "ram_mib": 1024}"#,
+            )
+            .expect("every connection gets an answer")
         })
-        .collect();
+    };
+    let mut clients = vec![client()];
+    let sleeping = std::time::Instant::now() + Duration::from_secs(10);
+    while handle
+        .registry()
+        .snapshot()
+        .counters
+        .get("serve.chaos.latency_injected")
+        .is_none_or(|&n| n < 1)
+    {
+        assert!(
+            std::time::Instant::now() < sleeping,
+            "the worker never took the first request"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    clients.extend((0..4).map(|_| client()));
     let responses: Vec<ClientResponse> = clients
         .into_iter()
         .map(|t| t.join().expect("client"))

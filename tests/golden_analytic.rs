@@ -34,7 +34,7 @@ use wavm3::migration::{
     EnvNoise, MigrationConfig, MigrationKind, MigrationRecord, MigrationSimulation, SimulationPath,
 };
 use wavm3::simkit::{RngFactory, SimDuration, SimTime};
-use wavm3::workloads::{MatMulWorkload, PageDirtierWorkload, Workload};
+use wavm3::workloads::{IdleWorkload, MatMulWorkload, PageDirtierWorkload, Workload};
 
 /// Relative tolerance for numeric cells — tight enough to pin behaviour,
 /// loose enough to survive a libm `powf` ulp.
@@ -369,19 +369,18 @@ fn constant_host_configs_match_their_goldens() {
     check_golden("analytic_constant_hosts.txt", 30, &actual);
 }
 
-/// Hand-computed oracle: a non-live migration of a constant pagedirtier
-/// between idle m01/m02 hosts in a quiet environment. Power is constant
-/// on both hosts within each phase, so each phase's energy is
-/// `P · duration` with `P` from Eqs. 5–7 and the machine's power profile;
-/// the engine steps the phases as spans and must hit it to 1e-12.
-#[test]
-fn nonlive_phase_energies_match_the_hand_computed_oracle() {
-    let mut cfg = MigrationConfig::new(MigrationKind::NonLive);
+/// The hand-computed oracles' set-up: one `migrating_mem()` VM running
+/// `workload` from an idle m01 to an idle m02 in a quiet environment.
+/// The stream is capped at 2^26 B/s, below the link's bandwidth: the
+/// 4 GiB image takes exactly 64 s, so the transfer ends on a tick edge and
+/// no activation tick carries transfer-stage CPU load.
+fn oracle_run(
+    kind: MigrationKind,
+    workload: Arc<dyn Workload>,
+) -> (MigrationConfig, MigrationRecord) {
+    let mut cfg = MigrationConfig::new(kind);
     cfg.path = SimulationPath::Analytic;
     cfg.env_noise = EnvNoise::disabled();
-    // 2^26 B/s, below the link's bandwidth: the 4 GiB image takes exactly
-    // 64 s, so the transfer ends on a tick edge and no activation tick
-    // carries transfer-stage CPU load.
     cfg.precopy.rate_limit_bps = Some(67_108_864.0);
     cfg.validate().expect("oracle config is valid");
 
@@ -390,22 +389,57 @@ fn nonlive_phase_energies_match_the_hand_computed_oracle() {
     let dst = cluster.add_host(hardware::m02());
     let vm = cluster.boot_vm(src, vm_instances::migrating_mem());
     let mut workloads: BTreeMap<VmId, Arc<dyn Workload>> = BTreeMap::new();
-    workloads.insert(vm, Arc::new(PageDirtierWorkload::with_ratio(0.5)));
+    workloads.insert(vm, workload);
     let r =
         MigrationSimulation::new(cluster, workloads, vm, src, dst, cfg, RngFactory::new(5)).run();
     assert_eq!(r.phases.te, r.phases.ts + SimDuration::from_secs(64));
+    (cfg, r)
+}
 
-    // Eq. 5 (CPU, `idle + dyn·u^e` over the 32 logical CPUs) plus the
-    // memory-contention (Eq. 6), NIC (Eq. 7) and service terms.
+/// Eq. 5 (CPU, `idle + dyn·u^e` over the 32 logical CPUs) plus the
+/// memory-contention (Eq. 6), NIC (Eq. 7) and service terms, on the power
+/// profile m01 and m02 share.
+fn oracle_power(cores: f64, nic: f64, mem_activity: f64, service_w: f64) -> f64 {
     let spec = hardware::m01();
     let p = spec.power;
-    let power = |cores: f64, nic: f64, mem_activity: f64, service_w: f64| {
-        p.idle_w
-            + p.cpu_dynamic_w * (cores / spec.cpu_capacity()).powf(p.cpu_exponent)
-            + p.nic_w_at_line_rate * nic
-            + p.mem_contention_w * mem_activity
-            + service_w
-    };
+    p.idle_w
+        + p.cpu_dynamic_w * (cores / spec.cpu_capacity()).powf(p.cpu_exponent)
+        + p.nic_w_at_line_rate * nic
+        + p.mem_contention_w * mem_activity
+        + service_w
+}
+
+/// The stream at the cap: its share of the NIC's line rate, and the
+/// memory activity of the pages it writes into the target.
+fn oracle_stream(cfg: &MigrationConfig) -> (f64, f64) {
+    let cap = cfg.precopy.rate_limit_bps.expect("capped");
+    let nic = cap / Link::gigabit().line_rate_bps;
+    let loading = cap / PAGE_SIZE_BYTES as f64 / PEAK_PAGE_WRITE_RATE;
+    (nic, loading)
+}
+
+/// Assert each `(phase, engine, hand-computed)` energy to 1e-12.
+fn assert_oracle(expected: [(&str, f64, f64); 6]) {
+    for (name, got, want) in expected {
+        assert!(
+            (got - want).abs() <= 1e-12 * want,
+            "{name}: engine {got} J vs hand-computed {want} J"
+        );
+    }
+}
+
+/// Hand-computed oracle: a non-live migration of a constant pagedirtier
+/// between idle m01/m02 hosts in a quiet environment. Power is constant
+/// on both hosts within each phase, so each phase's energy is
+/// `P · duration` with `P` from Eqs. 5–7 and the machine's power profile;
+/// the engine steps the phases as spans and must hit it to 1e-12.
+#[test]
+fn nonlive_phase_energies_match_the_hand_computed_oracle() {
+    let (cfg, r) = oracle_run(
+        MigrationKind::NonLive,
+        Arc::new(PageDirtierWorkload::with_ratio(0.5)),
+    );
+    let power = oracle_power;
     // Busy cores: the VMM's 0.10 + 0.04 per running VM, the migration
     // control plane or stream, and the pagedirtier's one core once it
     // runs again.
@@ -415,11 +449,7 @@ fn nonlive_phase_energies_match_the_hand_computed_oracle() {
     let src_stream = 0.10 + cfg.cpu_cost.source_cores_at_line_rate;
     let dst_stream = 0.10 + cfg.cpu_cost.target_cores_at_line_rate;
     let dirtying = PageDirtierWorkload::DEFAULT_WRITE_RATE / PEAK_PAGE_WRITE_RATE;
-    // The stream runs at the cap: its share of the NIC's line rate, and on
-    // the target the pages it writes into memory.
-    let cap = cfg.precopy.rate_limit_bps.expect("capped");
-    let nic = cap / Link::gigabit().line_rate_bps;
-    let loading = cap / PAGE_SIZE_BYTES as f64 / PEAK_PAGE_WRITE_RATE;
+    let (nic, loading) = oracle_stream(&cfg);
     let svc = cfg.service;
     let init_s = cfg.timing.initiation.as_secs_f64();
     let act_s = cfg.timing.activation.as_secs_f64();
@@ -432,7 +462,7 @@ fn nonlive_phase_energies_match_the_hand_computed_oracle() {
     let stream_s = 64.0 - tick_s;
     // Non-live: the migrant is suspended from `ms` until it resumes on
     // the target at `te`.
-    let expected = [
+    assert_oracle([
         (
             "source initiation",
             r.source_energy.initiation_j,
@@ -465,11 +495,65 @@ fn nonlive_phase_energies_match_the_hand_computed_oracle() {
             r.target_energy.activation_j,
             power(migrant_host, 0.0, dirtying, svc.activation_target_w) * act_s,
         ),
-    ];
-    for (name, got, want) in expected {
-        assert!(
-            (got - want).abs() <= 1e-12 * want,
-            "{name}: engine {got} J vs hand-computed {want} J"
-        );
-    }
+    ]);
+}
+
+/// Hand-computed oracle: a live migration of an idle guest, on the
+/// non-live oracle's set-up. The guest writes no pages, so its working set
+/// is empty: one round, `te = ts + 64 s`, no downtime, no dirty-tracking
+/// cost. The migrant runs throughout and counts toward the VMM overhead
+/// (0.10 + 0.04 cores) on the source until `te` and on the target after.
+#[test]
+fn live_phase_energies_match_the_hand_computed_oracle() {
+    let (cfg, r) = oracle_run(MigrationKind::Live, Arc::new(IdleWorkload));
+    assert_eq!(r.rounds.len(), 1);
+    assert_eq!(r.downtime, SimDuration::ZERO);
+    let power = oracle_power;
+    let control = cfg.cpu_cost.control_cores;
+    let idle_host = 0.10 + control;
+    let migrant_host = 0.10 + 0.04 + control;
+    let src_stream = 0.10 + 0.04 + cfg.cpu_cost.source_cores_at_line_rate;
+    let dst_stream = 0.10 + cfg.cpu_cost.target_cores_at_line_rate;
+    let (nic, loading) = oracle_stream(&cfg);
+    let svc = cfg.service;
+    let init_s = cfg.timing.initiation.as_secs_f64();
+    let act_s = cfg.timing.activation.as_secs_f64();
+    // As in the non-live oracle, the transfer's last tick keeps the CPU
+    // allocated before the handover and the power booked after it.
+    let tick_s = cfg.timing.tick.as_secs_f64();
+    let stream_s = 64.0 - tick_s;
+    assert_oracle([
+        (
+            "source initiation",
+            r.source_energy.initiation_j,
+            power(migrant_host, 0.0, 0.0, svc.init_source_w) * init_s,
+        ),
+        (
+            "target initiation",
+            r.target_energy.initiation_j,
+            power(idle_host, 0.0, 0.0, svc.init_target_w) * init_s,
+        ),
+        (
+            "source transfer",
+            r.source_energy.transfer_j,
+            power(src_stream, nic, 0.0, svc.transfer_source_w) * stream_s
+                + power(src_stream, 0.0, 0.0, svc.activation_source_w) * tick_s,
+        ),
+        (
+            "target transfer",
+            r.target_energy.transfer_j,
+            power(dst_stream, nic, loading, svc.transfer_target_w) * stream_s
+                + power(dst_stream, 0.0, 0.0, svc.activation_target_w) * tick_s,
+        ),
+        (
+            "source activation",
+            r.source_energy.activation_j,
+            power(idle_host, 0.0, 0.0, svc.activation_source_w) * act_s,
+        ),
+        (
+            "target activation",
+            r.target_energy.activation_j,
+            power(migrant_host, 0.0, 0.0, svc.activation_target_w) * act_s,
+        ),
+    ]);
 }
