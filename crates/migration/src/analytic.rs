@@ -174,13 +174,11 @@ fn spread(det: &TermIntegral, wander_j: f64) -> TermEnergy {
 }
 
 impl MigrationSimulation {
-    /// Run the analytic path on a borrowed scenario, with the per-run RNG
-    /// root supplied by the caller and all transient buffers recycled
-    /// through `arena`, whatever the configured path and trace state;
-    /// [`Self::run_reusing`] applies the trace fallback. Campaign workers
-    /// rebuild neither the cluster nor the slot arrays between
-    /// repetitions, and a default `arena` gives the one-shot run. See the
-    /// module docs for the contract with the sampled reference engine.
+    /// Run the analytic path on a borrowed scenario with the caller's
+    /// per-run RNG root, recycling all transient buffers through `arena`,
+    /// whatever the configured path and trace state ([`Self::run_reusing`]
+    /// applies the trace fallback). See the module docs for the contract
+    /// with the sampled reference engine.
     pub fn run_analytic_reusing(&self, rng: RngFactory, arena: &mut RunSlot) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.analytic");
         let mut mech = Mechanism::new(self, &rng, arena);

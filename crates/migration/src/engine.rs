@@ -23,6 +23,8 @@
 //! (`WorkloadProfile::general()`), so every value it uses is a trait call.
 //! Beyond that each keeps only its integrator — the sampled engine samples
 //! 2 Hz meters, the analytic engine integrates each tick's power exactly.
+//! The per-tick calls both loops make are `#[inline(always)]`: left to the
+//! compiler they stayed out of line and cost constant-host campaigns ~5 %.
 
 use crate::config::{EnvNoise, MigrationConfig, MigrationKind};
 use crate::record::{MigrationOutcome, MigrationRecord, RoundStats};
@@ -264,7 +266,7 @@ impl Mechanism {
 
     /// The stage edges that fire on tick boundaries, in order, followed by
     /// the injected abort.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn stage_edges(&mut self, now: SimTime) -> Moves {
         let mut moves = Moves::default();
         let kind = self.cfg.kind;
@@ -473,7 +475,7 @@ impl Mechanism {
     /// crossing round boundaries as needed; `write_rate` is the migrant's
     /// page-write rate. A round that completes applies the pre-copy round
     /// rule; a transfer that completes hands the VM over to the target.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn advance_transfer(
         &mut self,
         now: SimTime,
@@ -1125,7 +1127,7 @@ impl Hosts {
     /// of the target's placement order, as `Cluster::relocate_vm` does, and
     /// sync its run state. Returns whether the migrant's placement or run
     /// state changed.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn apply_moves(&mut self, mech: &Mechanism, moves: Moves) -> bool {
         if moves.relocated {
             let slot = self.src.slots.remove(self.m_idx);
@@ -1149,7 +1151,7 @@ impl Hosts {
     /// sums, then resolve the migration's own CPU, both allocations and the
     /// coupled bandwidth. The migrant's write rate comes from its slot
     /// whether or not it runs.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn prelude(&mut self, mech: &mut Mechanism, now: SimTime) -> Prelude {
         let migrant_factor = mech.migrant_factor();
         let src = self.src.refresh_tick(now, migrant_factor);
