@@ -1,11 +1,13 @@
 //! Adversarial golden configurations pinning the analytic engine.
 //!
-//! Two sets. The first (32 configs) boots a matmul background VM on each
+//! Three sets. The first (32 configs) boots a matmul background VM on each
 //! host, so demand ripples and every tick runs the full prelude. The
 //! second (30 configs) keeps every VM at constant demand — pagedirtier
 //! backgrounds and migrants — so the engine steps the quiet stretches of
 //! each phase as spans; it adds light link faults and a tick that does
-//! not divide the pre-run length to the variants below.
+//! not divide the pre-run length to the variants below. The third (21
+//! configs) takes the Table IIa scenarios whose rippling host saturates
+//! during transfer, so the bandwidth moves with the ripple.
 //!
 //! Each config stresses a boundary the closed-form integration must get
 //! exactly right — tiny ticks, zero-duration phases, a dirty rate
@@ -367,6 +369,56 @@ fn constant_host_configs_match_their_goldens() {
         }
     }
     check_golden("analytic_constant_hosts.txt", 30, &actual);
+}
+
+/// Table IIa scenarios on m01–m02 whose rippling host saturates during
+/// transfer: its CPU grant, and with it the coupled bandwidth, moves with
+/// the ripple. Neither set above has such a host (each boots one 4-vCPU
+/// matmul per 32-core host). Each runs under the default config and the
+/// constant set's extra variants (link faults, an odd tick).
+#[test]
+fn saturated_ripple_scenarios_match_their_goldens() {
+    use wavm3::cluster::MachineSet;
+    use wavm3::experiments::scenario::ExperimentFamily as F;
+    use wavm3::experiments::Scenario;
+    use MigrationKind::{Live, NonLive};
+    const DEFAULT: Variant = Variant {
+        name: "default",
+        apply: |_, _| {},
+    };
+    let scenarios = [
+        (F::CpuloadSource, Live, 7),
+        (F::CpuloadSource, Live, 8),
+        (F::CpuloadSource, NonLive, 8),
+        (F::CpuloadTarget, Live, 8),
+        (F::CpuloadTarget, NonLive, 8),
+        (F::MemloadSource, Live, 8),
+        (F::MemloadTarget, Live, 8),
+    ];
+    let variants = [&DEFAULT, &CONSTANT_VARIANTS[0], &CONSTANT_VARIANTS[1]];
+    let mut actual = String::new();
+    for (si, &(family, kind, load_vms)) in scenarios.iter().enumerate() {
+        let scenario = Scenario::family_scenarios(family, MachineSet::M)
+            .into_iter()
+            .find(|s| s.kind == kind && s.source_load_vms + s.target_load_vms == load_vms)
+            .expect("a Table IIa scenario");
+        for (vi, variant) in variants.iter().enumerate() {
+            let mut cfg = MigrationConfig::new(kind);
+            cfg.path = SimulationPath::Analytic;
+            (variant.apply)(&mut cfg, &mut None);
+            let seed = 3000 + (si * variants.len() + vi) as u64;
+            let r = scenario.build_with_config(RngFactory::new(seed), cfg).run();
+            let name = format!(
+                "{}/{}/{}VM/{}",
+                family.label(),
+                kind.label(),
+                load_vms,
+                variant.name
+            );
+            actual.push_str(&render(&name, &r));
+        }
+    }
+    check_golden("analytic_saturated_ripple.txt", 21, &actual);
 }
 
 /// The hand-computed oracles' set-up: one `migrating_mem()` VM running
