@@ -24,16 +24,23 @@
 //!   ripple advanced by a unit rotation per tick, constant rates folded
 //!   once), and `u^e` / `exp` in the inner loop are served from small
 //!   memo/Taylor caches;
-//! * when every VM on both hosts has constant demand, power is constant
-//!   between events (Eqs. 5–7 are linear in their inputs within a
-//!   phase), so the quiet ticks between events are stepped as *spans*.
-//!   A span runs until the next stage edge, post-copy handover, abort,
-//!   link-window edge or horizon, and stops before any tick that would
-//!   complete a round or straddle a phase window. Its ticks replay only
-//!   the state updates — bytes moved, the dirty-page recurrence, and the
-//!   cached power terms accumulated per tick — with the same float
-//!   operations in the same order, so results are bit-identical to
-//!   ticking. Any tick outside a span takes the full prelude.
+//! * when every workload's write-rate and line-share folds are profile
+//!   constants, power between events moves only with the demand curves
+//!   (Eqs. 5–7 are linear in their inputs within a phase), so the ticks
+//!   between events are stepped as *spans*. A span runs until the next
+//!   stage edge, post-copy handover, abort, link-window edge or horizon,
+//!   and stops before any tick that would complete a round or straddle a
+//!   phase window. Its ticks replay only what moves — bytes moved, the
+//!   dirty-page recurrence, on a host with ripple demand the oscillators,
+//!   the `vm_cores` fold, the Eq. 2 allocation and the CPU term, and the
+//!   power terms accumulated per tick — with the same float operations in
+//!   the same order, so results are bit-identical to ticking. In transfer
+//!   a span also needs the bandwidth frozen: no rippling endpoint may be
+//!   able to saturate (`HostState::grant_frozen`, decided at the full
+//!   tick), or its grant `scale` would move the bandwidth every tick.
+//!   Post-copy transfer never spans: its demand ramp moves each tick. A
+//!   tick outside a span takes the full prelude, or the semi-cached one
+//!   while spans must wait.
 //!
 //! ## Known, documented approximations (all bounded or zero-mean)
 //!
@@ -151,6 +158,47 @@ fn overlap_us(a: u64, b: u64, lo: u64, hi: u64) -> u64 {
     b.min(hi).saturating_sub(a.max(lo))
 }
 
+/// Replay up to `n` span ticks at the cached bandwidth, calling `tick(k)`
+/// for the power of tick `k`; returns how many ran. In transfer each tick
+/// is the sub-loop's one full step, and the span stops before any tick
+/// that would complete or split a round.
+#[inline(always)]
+fn replay(
+    mech: &mut Mechanism,
+    cache: &Prelude,
+    dt_s: f64,
+    n: u64,
+    mut tick: impl FnMut(u64),
+) -> u64 {
+    if mech.stage != Stage::Transfer {
+        for k in 0..n {
+            tick(k);
+        }
+        return n;
+    }
+    let mut x = mech.xfer.expect("transfer state exists");
+    let full_tick = cache.bw * dt_s;
+    let dirtying = mech.dirtying();
+    let decay = if dirtying {
+        mech.dirty_decay(cache.migrant_wr, dt_s)
+    } else {
+        0.0
+    };
+    let mut k = 0;
+    while k < n && cache.bw > 0.0 && x.whole_tick_fits(full_tick) {
+        x.remaining_bytes -= full_tick;
+        x.round_bytes_sent += full_tick;
+        mech.total_bytes += full_tick;
+        if dirtying {
+            mech.saturate_dirty(decay);
+        }
+        tick(k);
+        k += 1;
+    }
+    mech.xfer = Some(x);
+    k
+}
+
 /// Spread a window's wander energy across its deterministic terms pro
 /// rata, mirroring the sampled path's `TermTraces::record` attribution
 /// (degenerate windows book everything under the idle floor).
@@ -221,23 +269,20 @@ impl MigrationSimulation {
         let mut int_dst = [TermIntegral::default(); 3];
 
         // --- Tick-invariant prelude cache. ---------------------------------
-        // On hosts whose every demand curve is `CpuCurve::Constant` (and whose
-        // workload folds come from profile constants), the entire prelude —
-        // demand refresh, CPU allocation, coupled bandwidth, power terms — is
-        // invariant between state-changing events: stage boundaries, suspend /
-        // resume / relocation, post-copy demand ramp, fault-window edges.
-        // `cache_dirty` marks those events; the ticks in between are stepped
-        // as spans that reuse the last full tick's values, bit-identical to
-        // recomputation because every input is unchanged. Oscillating or
-        // `General` demand curves keep `cache_dirty` latched, i.e. the full
-        // per-tick prelude. The conjunctions `fast_ok` / `semi_ok` range over
-        // the union of slots and are relocation-invariant.
+        // When every workload's line-share / write-rate folds are profile
+        // constants (`semi_ok`), the running counts, those folds, the
+        // migration's CPU and the non-CPU power terms are invariant between
+        // state-changing events: stage boundaries, suspend / resume /
+        // relocation, post-copy demand ramp, fault-window edges. Only the
+        // demand curves move, and on hosts whose every curve is
+        // `CpuCurve::Constant` (`fast_ok`) not even they. `cache_dirty` marks
+        // those events; a full tick refreshes the cache, and the ticks after
+        // it reuse it — as spans, or as semi-cached ticks where a span may
+        // not run — bit-identical to recomputation because every reused
+        // input is unchanged. Other folds keep `cache_dirty` latched, i.e.
+        // the full per-tick prelude. Both conjunctions range over the union
+        // of slots and are relocation-invariant.
         let fast_ok = hosts.src.constant && hosts.dst.constant;
-        // Weaker tier for hosts with oscillating demand: when every workload's
-        // line-share / write-rate folds are profile constants, only `vm_cores`
-        // (and whatever depends on it) needs per-tick recomputation; the
-        // constant folds, running counts and the non-CPU power terms are
-        // reused between events — each reuse bit-identical to recomputation.
         let semi_ok = hosts
             .src
             .slots
@@ -245,6 +290,7 @@ impl MigrationSimulation {
             .chain(&hosts.dst.slots)
             .all(Slot::folds_constant);
         let mut cache_dirty = true;
+        let mut spannable = false;
         let placeholder = CpuAccounting::default().allocate(1.0);
         let mut cache = Prelude {
             migrant_factor: f64::NAN,
@@ -255,8 +301,6 @@ impl MigrationSimulation {
             dst_alloc: placeholder,
             bw: 0.0,
         };
-        let mut c_src_terms = PowerTerms::default();
-        let mut c_dst_terms = PowerTerms::default();
 
         // Tick-cache tier tallies (flushed once per run into the profiler so
         // the hot loop never touches shared state). Ticks stepped inside
@@ -282,18 +326,30 @@ impl MigrationSimulation {
             }
 
             // --- Refresh demands, resolve allocations and the bandwidth. ---
-            let mut semi_partial = false;
             let p = if cache_dirty {
                 ticks_full += 1;
                 cache = hosts.prelude(&mut mech, now);
                 cache_dirty = !semi_ok;
+                // Whether spans may follow, decided here: running counts, stage
+                // and migration cores change only at events, and every event
+                // dirties the cache. In transfer no rippling endpoint may
+                // saturate, or its grant `scale` would move the bandwidth.
+                spannable = semi_ok
+                    && mech.stage != Stage::Pre
+                    && !mech.ramping()
+                    && (mech.stage != Stage::Transfer || {
+                        let (migr_src, migr_dst) = mech.migration_cores(cache.migrant_wr);
+                        hosts.src.grant_frozen(migr_src) && hosts.dst.grant_frozen(migr_dst)
+                    });
                 cache
             } else {
-                // Semi-cached tick (oscillating demand, constant folds):
-                // advance the curves and re-fold `vm_cores`, reuse everything
-                // whose inputs cannot have moved since the last event. A host
-                // that is itself fully constant skips even that — its fold,
-                // allocation and power terms are frozen between events.
+                // Semi-cached tick, where spans must wait (in practice a
+                // rippling endpoint that can saturate in transfer): advance
+                // the curves, re-fold `vm_cores` and resolve the bandwidth
+                // anew, reusing the folds and counts that cannot have moved
+                // since the last event. A host that is itself fully constant
+                // skips even the refresh — its fold and allocation are frozen
+                // between events.
                 ticks_semi += 1;
                 let mut p = cache;
                 let (migr_src, migr_dst) = mech.migration_cores(p.migrant_wr);
@@ -312,10 +368,6 @@ impl MigrationSimulation {
                     p.src.bg(),
                     p.dst.bg(),
                 );
-                // Unchanged bandwidth (unsaturated endpoints) leaves every
-                // non-CPU term of the last tick valid.
-                semi_partial = p.bw == cache.bw;
-                cache.bw = p.bw;
                 p
             };
 
@@ -328,55 +380,41 @@ impl MigrationSimulation {
             }
 
             // --- Ground-truth power for both hosts at this instant. ---
-            let (src_u, dst_u) = (p.src_alloc.utilisation(), p.dst_alloc.utilisation());
-            if semi_partial && !sums_stale && !moves.edge {
-                // Semi-cached tick with unchanged bandwidth: only the CPU
-                // utilisation moved, so rebuild just `cpu_w` (`utilisation()`
-                // already clamps, as `terms_for` would). A fully constant
-                // host's utilisation did not move either.
-                if !hosts.src.constant {
-                    c_src_terms = with_cpu(&src_power, src_u, &mut pow_src, c_src_terms);
-                }
-                if !hosts.dst.constant {
-                    c_dst_terms = with_cpu(&dst_power, dst_u, &mut pow_dst, c_dst_terms);
-                }
+            let migr_nic = link.line_utilisation(current_bw);
+            let (svc_src, svc_dst) = mech.service_power();
+            // The memory-activity term reads the post-sub-loop placement; when
+            // the sub-loop suspended or relocated the migrant, re-fold the
+            // write rates.
+            let (src_wr, dst_wr) = if !sums_stale {
+                (p.src.write_rate, p.dst.write_rate)
             } else {
-                let migr_nic = link.line_utilisation(current_bw);
-                let (svc_src, svc_dst) = mech.service_power();
-                // The memory-activity term reads the post-sub-loop placement;
-                // when the sub-loop suspended or relocated the migrant,
-                // re-fold the write rates.
-                let (src_wr, dst_wr) = if !sums_stale {
-                    (p.src.write_rate, p.dst.write_rate)
-                } else {
-                    (
-                        hosts.src.write_rate_sum(0.0, now),
-                        hosts.dst.write_rate_sum(0.0, now),
-                    )
-                };
-                c_src_terms = terms_for(
-                    &src_power,
-                    PowerInputs {
-                        cpu_utilisation: src_u,
-                        nic_utilisation: (migr_nic + p.src.bg()).min(1.0),
-                        mem_activity: (src_wr / PEAK_PAGE_WRITE_RATE).min(1.0),
-                        service_w: svc_src,
-                    },
-                    &mut pow_src,
-                );
-                c_dst_terms = terms_for(
-                    &dst_power,
-                    PowerInputs {
-                        cpu_utilisation: dst_u,
-                        nic_utilisation: (migr_nic + p.dst.bg()).min(1.0),
-                        mem_activity: ((mech.state_load_rate(current_bw) + dst_wr)
-                            / PEAK_PAGE_WRITE_RATE)
-                            .min(1.0),
-                        service_w: svc_dst,
-                    },
-                    &mut pow_dst,
-                );
-            }
+                (
+                    hosts.src.write_rate_sum(0.0, now),
+                    hosts.dst.write_rate_sum(0.0, now),
+                )
+            };
+            let mut src_terms = terms_for(
+                &src_power,
+                PowerInputs {
+                    cpu_utilisation: p.src_alloc.utilisation(),
+                    nic_utilisation: (migr_nic + p.src.bg()).min(1.0),
+                    mem_activity: (src_wr / PEAK_PAGE_WRITE_RATE).min(1.0),
+                    service_w: svc_src,
+                },
+                &mut pow_src,
+            );
+            let mut dst_terms = terms_for(
+                &dst_power,
+                PowerInputs {
+                    cpu_utilisation: p.dst_alloc.utilisation(),
+                    nic_utilisation: (migr_nic + p.dst.bg()).min(1.0),
+                    mem_activity: ((mech.state_load_rate(current_bw) + dst_wr)
+                        / PEAK_PAGE_WRITE_RATE)
+                        .min(1.0),
+                    service_w: svc_dst,
+                },
+                &mut pow_dst,
+            );
 
             // --- Exact window attribution of this tick's constant power. ---
             // Window `w` is `[edges[w], edges[w + 1])`; an edge not yet known
@@ -392,88 +430,87 @@ impl MigrationSimulation {
                 let o = overlap_us(a, a + dt_us, edges[w], edges[w + 1]);
                 if o > 0 {
                     let secs = o as f64 / 1e6;
-                    int_src[w].accumulate(&c_src_terms, secs);
-                    int_dst[w].accumulate(&c_dst_terms, secs);
+                    int_src[w].accumulate(&src_terms, secs);
+                    int_dst[w].accumulate(&dst_terms, secs);
                 }
             }
 
             now += dt;
 
-            // --- Span stepping on constant hosts (see the module docs). ---
-            // A tick that ends with a clean cache leaves the prelude and power
-            // terms of the following ticks unchanged until the next event, so
-            // those ticks replay only their state updates — the loop's own float
-            // operations in the same order, which keeps every result
-            // bit-identical (a closed form `terms·n·dt` would round differently).
-            // Post-copy transfer never qualifies: its demand ramp moves each tick.
-            if fast_ok {
-                if !cache_dirty && mech.stage != Stage::Pre && !mech.ramping() {
-                    let now_us = now.as_micros();
-                    // A span tick starts before the next event ...
-                    let mut start_lim = HORIZON.as_micros();
-                    for t in [mech.pending_resume(), mech.pending_abort()]
-                        .into_iter()
-                        .flatten()
-                    {
-                        start_lim = start_lim.min(t.as_micros());
-                    }
-                    if mech.stage == Stage::Transfer {
-                        for w in mech.fault_plan.link_windows() {
-                            for edge in [w.window.start, w.window.end] {
-                                if edge.as_micros() + dt_us > now_us {
-                                    start_lim = start_lim.min(edge.as_micros());
-                                }
-                            }
-                        }
-                    }
-                    // ... and lies inside the phase window it is attributed to.
-                    let w = match mech.stage {
-                        Stage::Initiation => 0,
-                        Stage::Transfer => 1,
-                        _ => 2,
-                    };
-                    let n = if now_us < edges[w] {
-                        0
-                    } else {
-                        (start_lim.saturating_sub(now_us).div_ceil(dt_us))
-                            .min(edges[w + 1].saturating_sub(now_us) / dt_us)
-                    };
-                    let secs = dt_us as f64 / 1e6;
-                    let mut k = 0;
-                    if mech.stage == Stage::Transfer {
-                        // Stop before any tick that would complete or split a
-                        // round.
-                        let mut x = mech.xfer.expect("transfer state exists");
-                        let full_tick = cache.bw * dt_s;
-                        let dirtying = mech.dirtying();
-                        let decay = if dirtying {
-                            mech.dirty_decay(cache.migrant_wr, dt_s)
-                        } else {
-                            0.0
-                        };
-                        while k < n && cache.bw > 0.0 && x.whole_tick_fits(full_tick) {
-                            x.remaining_bytes -= full_tick;
-                            x.round_bytes_sent += full_tick;
-                            mech.total_bytes += full_tick;
-                            if dirtying {
-                                mech.saturate_dirty(decay);
-                            }
-                            int_src[w].accumulate(&c_src_terms, secs);
-                            int_dst[w].accumulate(&c_dst_terms, secs);
-                            k += 1;
-                        }
-                        mech.xfer = Some(x);
-                    } else {
-                        for _ in 0..n {
-                            int_src[w].accumulate(&c_src_terms, secs);
-                            int_dst[w].accumulate(&c_dst_terms, secs);
-                        }
-                        k = n;
-                    }
-                    now += SimDuration::from_micros(k * dt_us);
-                    ticks_spanned += k;
-                    spans += u64::from(k > 0);
+            // --- Span stepping (see the module docs). ---
+            // After a full tick that leaves the cache clean, the ticks up to
+            // the next event move only the ripple oscillators and the
+            // transfer state, so they replay only those: on a rippling host
+            // the demand refresh, `vm_cores` fold, Eq. 2 allocation and CPU
+            // term, then the transfer state and the per-tick accumulation —
+            // the loop's own float operations in the same order, which keeps
+            // every result bit-identical (a closed form `terms·n·dt` would
+            // round differently).
+            if spannable && !cache_dirty {
+                let now_us = now.as_micros();
+                // A span tick starts before the next event ...
+                let mut start_lim = HORIZON.as_micros();
+                for t in [mech.pending_resume(), mech.pending_abort()]
+                    .into_iter()
+                    .flatten()
+                {
+                    start_lim = start_lim.min(t.as_micros());
                 }
+                if mech.stage == Stage::Transfer {
+                    for w in mech.fault_plan.link_windows() {
+                        for edge in [w.window.start, w.window.end] {
+                            if edge.as_micros() + dt_us > now_us {
+                                start_lim = start_lim.min(edge.as_micros());
+                            }
+                        }
+                    }
+                }
+                // ... and lies inside the phase window it is attributed to.
+                let w = match mech.stage {
+                    Stage::Initiation => 0,
+                    Stage::Transfer => 1,
+                    _ => 2,
+                };
+                let n = if now_us < edges[w] {
+                    0
+                } else {
+                    (start_lim.saturating_sub(now_us).div_ceil(dt_us))
+                        .min(edges[w + 1].saturating_sub(now_us) / dt_us)
+                };
+                let secs = dt_us as f64 / 1e6;
+                // A constant run's power is frozen; its replay loop stays free
+                // of the ripple work.
+                let k = if fast_ok {
+                    replay(&mut mech, &cache, dt_s, n, |_| {
+                        int_src[w].accumulate(&src_terms, secs);
+                        int_dst[w].accumulate(&dst_terms, secs);
+                    })
+                } else {
+                    let in_transfer = mech.stage == Stage::Transfer;
+                    let (migr_src, migr_dst) = mech.migration_cores(cache.migrant_wr);
+                    replay(&mut mech, &cache, dt_s, n, |k| {
+                        let t = now + SimDuration::from_micros(k * dt_us);
+                        if !hosts.src.constant {
+                            let vm_cores = hosts.src.refresh_vm_cores(t, cache.migrant_factor);
+                            let a = hosts.src.allocate(cache.src.running, vm_cores, migr_src);
+                            debug_assert!(!in_transfer || a.scale == 1.0, "source saturated");
+                            src_terms =
+                                with_cpu(&src_power, a.utilisation(), &mut pow_src, src_terms);
+                        }
+                        if !hosts.dst.constant {
+                            let vm_cores = hosts.dst.refresh_vm_cores(t, cache.migrant_factor);
+                            let a = hosts.dst.allocate(cache.dst.running, vm_cores, migr_dst);
+                            debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
+                            dst_terms =
+                                with_cpu(&dst_power, a.utilisation(), &mut pow_dst, dst_terms);
+                        }
+                        int_src[w].accumulate(&src_terms, secs);
+                        int_dst[w].accumulate(&dst_terms, secs);
+                    })
+                };
+                now += SimDuration::from_micros(k * dt_us);
+                ticks_spanned += k;
+                spans += u64::from(k > 0);
                 // Whatever ends the span takes the full prelude.
                 cache_dirty = true;
             }

@@ -1064,6 +1064,36 @@ impl HostState {
         rate
     }
 
+    /// Whether the host's Eq. 2 grant `scale` cannot move before the next
+    /// event while the migration demands `migration_cores`: the host is
+    /// constant, or the peak demand of its running guests leaves it
+    /// unsaturated, so `scale` stays exactly 1.0. A constant curve peaks at
+    /// its stored demand and an oscillator at its crest. The margins cover
+    /// the rotation's ulp drift and the fold's rounding. A `General` curve
+    /// has no peak.
+    pub(crate) fn grant_frozen(&self, migration_cores: f64) -> bool {
+        if self.constant {
+            return true;
+        }
+        let mut running = 0;
+        let mut cores = migration_cores.max(0.0);
+        for s in self.slots.iter().filter(|s| s.running) {
+            running += 1;
+            cores += match s.cpu {
+                CpuCurve::Constant(_) => s.demand,
+                CpuCurve::Osc {
+                    target,
+                    half_ripple,
+                    ..
+                } => s
+                    .vcpus
+                    .min(target.abs() * (1.0 + half_ripple.abs() * (1.0 + 1e-6))),
+                CpuCurve::General => return false,
+            };
+        }
+        vmm_overhead_cores(running) + cores <= self.capacity * (1.0 - 1e-9)
+    }
+
     /// The host's CPU allocation (Eq. 2) for `running` VMs demanding
     /// `vm_cores`, plus the migration's own `migration_cores`.
     #[inline]

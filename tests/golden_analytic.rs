@@ -1,13 +1,13 @@
 //! Adversarial golden configurations pinning the analytic engine.
 //!
 //! Three sets. The first (32 configs) boots a matmul background VM on each
-//! host, so demand ripples and every tick runs the full prelude. The
+//! host, so demand ripples and spans replay each tick's CPU term. The
 //! second (30 configs) keeps every VM at constant demand — pagedirtier
-//! backgrounds and migrants — so the engine steps the quiet stretches of
-//! each phase as spans; it adds light link faults and a tick that does
-//! not divide the pre-run length to the variants below. The third (21
-//! configs) takes the Table IIa scenarios whose rippling host saturates
-//! during transfer, so the bandwidth moves with the ripple.
+//! backgrounds and migrants — so spans replay frozen power; it adds light
+//! link faults and a tick that does not divide the pre-run length to the
+//! variants below. The third (21 configs) takes the Table IIa scenarios
+//! whose rippling host saturates during transfer, so the bandwidth moves
+//! with the ripple and transfer ticks must not be spanned.
 //!
 //! Each config stresses a boundary the closed-form integration must get
 //! exactly right — tiny ticks, zero-duration phases, a dirty rate

@@ -11,7 +11,8 @@ use wavm3::migration::{MigrationConfig, MigrationKind, MigrationRecord, Simulati
 use wavm3::obs::perf::{chrome_trace, collapsed_stacks, PerfSnapshot};
 use wavm3::obs::{Level, ObsConfig, ObsReport, Session};
 
-/// A matmul load VM on the source: demand ripples every tick.
+/// A matmul load VM on the source: demand ripples every tick, and the
+/// analytic engine replays the ripple in spans.
 fn scenarios() -> Vec<Scenario> {
     [MigrationKind::Live, MigrationKind::NonLive]
         .into_iter()
@@ -159,22 +160,24 @@ fn snapshot_counts_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn constant_host_campaign_steps_the_same_spans_at_every_thread_count() {
-    let run = |threads| {
-        let (report, records) = run_on(
-            threads,
-            profiled(),
-            SimulationPath::Analytic,
-            &constant_scenarios(),
-        );
-        let (tiers, spans) = tick_tiers(&report.perf);
-        assert_eq!(tiers, tick_count(&records), "{threads} threads: tier sum");
-        spans
-    };
-    let spans = run(1);
-    assert!(spans > 0, "a constant-host campaign must step spans");
-    assert_eq!(spans, run(2), "spans: 1 vs 2 threads");
-    assert_eq!(spans, run(8), "spans: 1 vs 8 threads");
+fn ripple_and_constant_campaigns_step_the_same_spans_at_every_thread_count() {
+    for (set, scenarios) in [("ripple", scenarios()), ("constant", constant_scenarios())] {
+        let run = |threads| {
+            let (report, records) =
+                run_on(threads, profiled(), SimulationPath::Analytic, &scenarios);
+            let (tiers, spans) = tick_tiers(&report.perf);
+            assert_eq!(
+                tiers,
+                tick_count(&records),
+                "{set}, {threads} threads: tier sum"
+            );
+            spans
+        };
+        let spans = run(1);
+        assert!(spans > 0, "the {set} campaign must step spans");
+        assert_eq!(spans, run(2), "{set} spans: 1 vs 2 threads");
+        assert_eq!(spans, run(8), "{set} spans: 1 vs 8 threads");
+    }
 }
 
 #[test]
