@@ -10,7 +10,8 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-/// Largest accepted request head (request line + headers).
+/// Largest accepted request head: the request line and headers, counted
+/// through the blank line (`\r\n\r\n`) that ends them.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -43,14 +44,16 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     let split = loop {
-        if let Some(pos) = find_head_end(&head) {
-            break pos;
-        }
-        if head.len() > MAX_HEAD_BYTES {
+        // A head that has not ended yet counts what has arrived.
+        let end = find_head_end(&head);
+        if end.map_or(head.len(), |pos| pos + 4) > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "request head exceeds cap",
             ));
+        }
+        if let Some(pos) = end {
+            break pos;
         }
         let n = stream.read(&mut buf)?;
         if n == 0 {

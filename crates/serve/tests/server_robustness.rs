@@ -2,9 +2,10 @@
 //! failure mode driven deterministically through the seeded chaos
 //! middleware and asserted from the client side.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use wavm3_serve::http::{roundtrip, ClientResponse};
+use wavm3_serve::http::{roundtrip, ClientResponse, MAX_HEAD_BYTES};
 use wavm3_serve::{BreakerConfig, ChaosConfig, ServeConfig, ServerHandle};
 
 fn connect(handle: &ServerHandle) -> TcpStream {
@@ -97,6 +98,23 @@ fn malformed_and_unknown_requests_stay_client_errors() {
 
     let wrong_method = get(&handle, "/predict");
     assert_eq!(wrong_method.status, 405);
+
+    // The head cap counts through the blank line that ends the head, also
+    // when the whole head arrives in one write.
+    for (len, status) in [(MAX_HEAD_BYTES, "200"), (MAX_HEAD_BYTES + 1, "400")] {
+        let start = "GET /healthz HTTP/1.1\r\nx-pad: ";
+        let head = format!("{start}{}\r\n\r\n", "a".repeat(len - start.len() - 4));
+        assert_eq!(head.len(), len);
+        let mut stream = connect(&handle);
+        stream.write_all(head.as_bytes()).expect("write head");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert_eq!(
+            response.split_whitespace().nth(1),
+            Some(status),
+            "a {len}-byte head: {response}"
+        );
+    }
 
     let snapshot = handle.registry().snapshot();
     assert_eq!(
