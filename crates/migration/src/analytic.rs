@@ -332,8 +332,11 @@ impl MigrationSimulation {
                 cache_dirty = !semi_ok;
                 // Whether spans may follow, decided here: running counts, stage
                 // and migration cores change only at events, and every event
-                // dirties the cache. In transfer no rippling endpoint may
-                // saturate, or its grant `scale` would move the bandwidth.
+                // dirties the cache. Outside transfer the bandwidth is 0
+                // whatever the grants, and a span refreshes every demand as a
+                // ticked step would. In transfer no rippling endpoint may
+                // saturate, or its grant `scale` would move the bandwidth (a
+                // `General` curve has no peak, so its host never spans there).
                 spannable = semi_ok
                     && mech.stage != Stage::Pre
                     && !mech.ramping()
