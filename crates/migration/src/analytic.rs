@@ -40,7 +40,24 @@
 //!   tick), or its grant `scale` would move the bandwidth every tick.
 //!   Post-copy transfer never spans: its demand ramp moves each tick. A
 //!   tick outside a span takes the full prelude, or the semi-cached one
-//!   while spans must wait.
+//!   while spans must wait;
+//! * the tick loop prices nothing itself: it records each tick's power
+//!   inputs that no run's draws can move (`u^e`, clamped NIC and memory
+//!   activity, the stage's unjittered service power, the window and the
+//!   overlap), merging repeats into counts, and `integrate` builds and
+//!   accumulates the terms with the run's jittered profiles afterwards;
+//! * a prototype's fault-free runs share that record. `Mechanism::new`
+//!   draws only the power jitter and the fault plan, the slots are built
+//!   from the prototype, workloads are pure functions of `t`, and the
+//!   wander is integrated after the loop, so with an empty fault plan
+//!   every stage edge, round, byte and power input is the same in every
+//!   repetition. The first fault-free run (while no trace sink records)
+//!   ticks and stores its record and trajectory as the scenario's
+//!   `Tape`; every later one adopts the trajectory and prices the tape
+//!   with its own jitter, through the same `integrate`, so it is bit
+//!   for bit the run ticking would give. `OnceLock::get_or_init` makes one
+//!   run the recorder whatever the thread count. Runs that draw faults,
+//!   and traced runs (which must emit the mechanism's events), tick.
 //!
 //! ## Known, documented approximations (all bounded or zero-mean)
 //!
@@ -61,7 +78,9 @@
 //! engine's only through the ripple recurrence above, which can move the
 //! coupled bandwidth, bytes and round boundaries in the last bits.
 
-use crate::engine::{Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, TickSums, HORIZON};
+use crate::engine::{
+    Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, TickSums, Trajectory, HORIZON,
+};
 use crate::record::MigrationRecord;
 use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
 use wavm3_cluster::{CpuAccounting, PowerProfile};
@@ -127,29 +146,116 @@ impl PowCache {
     }
 }
 
-/// Ground-truth terms with the `u^e` served from the cache; otherwise the
-/// same arithmetic (and rounding order) as `ground_truth_terms`.
-#[inline]
-fn terms_for(profile: &PowerProfile, inputs: PowerInputs, pow: &mut PowCache) -> PowerTerms {
-    let i = inputs.clamped();
-    let terms = PowerTerms {
-        idle_w: profile.idle_w,
-        cpu_w: 0.0,
-        mem_dirty_w: profile.mem_contention_w * i.mem_activity,
-        network_w: profile.nic_w_at_line_rate * i.nic_utilisation,
-        service_w: i.service_w,
-    };
-    with_cpu(profile, i.cpu_utilisation, pow, terms)
+/// One host's power inputs over one tick that no run's draws can move:
+/// `f = u^e` (the [`PowCache::eval`] output), the clamped NIC and memory
+/// activity, and the stage's service power before jitter.
+#[derive(Clone, Copy)]
+struct HostTick {
+    f: f64,
+    nic: f64,
+    mem: f64,
+    svc: f64,
 }
 
-/// `terms` with the CPU term for utilisation `u` (already in `[0, 1]`).
-#[inline]
-fn with_cpu(profile: &PowerProfile, u: f64, pow: &mut PowCache, terms: PowerTerms) -> PowerTerms {
-    let cpu_power = profile.idle_w + profile.cpu_dynamic_w * pow.eval(u);
-    PowerTerms {
-        cpu_w: cpu_power - profile.idle_w,
-        ..terms
+impl HostTick {
+    /// Clamp `inputs` like `PowerInputs::clamped`, with `u^e` served from
+    /// the cache; `inputs.service_w` is the stage's unjittered service
+    /// power.
+    #[inline]
+    fn new(inputs: PowerInputs, pow: &mut PowCache) -> Self {
+        let i = inputs.clamped();
+        HostTick {
+            f: pow.eval(i.cpu_utilisation),
+            nic: i.nic_utilisation,
+            mem: i.mem_activity,
+            svc: inputs.service_w,
+        }
     }
+
+    /// The tick's ground-truth terms on a run's jittered `profile` and
+    /// service factor: the arithmetic (and rounding order) of
+    /// `ground_truth_terms`, with the jittered service power clamped
+    /// there.
+    #[inline]
+    fn terms(&self, profile: &PowerProfile, service_factor: f64) -> PowerTerms {
+        let cpu_power = profile.idle_w + profile.cpu_dynamic_w * self.f;
+        PowerTerms {
+            idle_w: profile.idle_w,
+            cpu_w: cpu_power - profile.idle_w,
+            mem_dirty_w: profile.mem_contention_w * self.mem,
+            network_w: profile.nic_w_at_line_rate * self.nic,
+            service_w: (self.svc * service_factor).max(0.0),
+        }
+    }
+
+    fn bits(&self) -> [u64; 4] {
+        [self.f, self.nic, self.mem, self.svc].map(f64::to_bits)
+    }
+}
+
+/// One entry of a tick record: `n` consecutive accumulations of the same
+/// inputs over `secs` seconds into phase window `w`. A run has at most
+/// `HORIZON / 1 µs` < 2³² ticks, so `n` cannot overflow.
+#[derive(Clone, Copy)]
+pub(crate) struct Step {
+    w: u32,
+    n: u32,
+    secs: f64,
+    src: HostTick,
+    dst: HostTick,
+}
+
+/// Append `n` accumulations to `steps`, merged into the last entry when
+/// its window, duration and inputs are the same bit for bit — the same
+/// sequence of operations, so pricing stays bit-identical.
+#[inline]
+fn book(steps: &mut Vec<Step>, w: usize, secs: f64, n: u64, src: HostTick, dst: HostTick) {
+    let step = Step {
+        w: w as u32,
+        n: n as u32,
+        secs,
+        src,
+        dst,
+    };
+    match steps.last_mut() {
+        Some(last)
+            if last.w == step.w
+                && last.secs.to_bits() == secs.to_bits()
+                && last.src.bits() == src.bits()
+                && last.dst.bits() == dst.bits() =>
+        {
+            last.n += step.n;
+        }
+        _ => steps.push(step),
+    }
+}
+
+/// Per-window integrals `[initiation, transfer, tail]` of each host.
+type Integrals = [[TermIntegral; 3]; 2];
+
+/// Price `steps` with `mech`'s jittered profiles and service factors: the
+/// only place a tick's power is built and integrated, for ticked and
+/// replayed runs alike.
+fn integrate(steps: &[Step], mech: &Mechanism) -> Integrals {
+    let [mut src, mut dst] = [[TermIntegral::default(); 3]; 2];
+    for s in steps {
+        let src_terms = s.src.terms(&mech.src_power, mech.src_service_factor);
+        let dst_terms = s.dst.terms(&mech.dst_power, mech.dst_service_factor);
+        let (src_w, dst_w) = (&mut src[s.w as usize], &mut dst[s.w as usize]);
+        for _ in 0..s.n {
+            src_w.accumulate(&src_terms, s.secs);
+            dst_w.accumulate(&dst_terms, s.secs);
+        }
+    }
+    [src, dst]
+}
+
+/// A prototype's fault-free run, recorded once: its tick record, where
+/// its mechanism ended, and how many ticks it took.
+pub(crate) struct Tape {
+    steps: Box<[Step]>,
+    trajectory: Trajectory,
+    ticks: u64,
 }
 
 /// Overlap of `[a, b)` with `[lo, hi)` in µs.
@@ -227,32 +333,128 @@ impl MigrationSimulation {
     /// whatever the configured path and trace state ([`Self::run_reusing`]
     /// applies the trace fallback). See the module docs for the contract
     /// with the sampled reference engine.
+    ///
+    /// A run whose fault plan is empty, while no trace sink records, goes
+    /// through the scenario's tape: the first such run ticks and records
+    /// it, every later one replays it with its own jitter and wander, bit
+    /// for bit what ticking would give. A replayed run emits no mechanism
+    /// events; a traced run always ticks.
     pub fn run_analytic_reusing(&self, rng: RngFactory, arena: &mut RunSlot) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.analytic");
         let mut mech = Mechanism::new(self, &rng, arena);
+        let ledger_on = wavm3_obs::ledger_active();
+        let mut steps = std::mem::take(&mut arena.steps);
+
+        // `get_or_init` lets exactly one run record, whatever the thread
+        // count; the others wait for it and replay.
+        let mut ticked = None;
+        let tape = if mech.fault_plan.is_empty() && !wavm3_obs::tracing_active() {
+            Some(self.tape.get_or_init(|| {
+                let (ints, ticks) = self.tick(&mut mech, &mut steps, arena);
+                ticked = Some(ints);
+                Tape {
+                    steps: steps.as_slice().into(),
+                    trajectory: mech.trajectory(),
+                    ticks,
+                }
+            }))
+        } else {
+            ticked = Some(self.tick(&mut mech, &mut steps, arena).0);
+            None
+        };
+        arena.steps = steps;
+        let [int_src, int_dst] = match (ticked, tape) {
+            (Some(ints), _) => ints,
+            (None, tape) => {
+                let tape = tape.expect("a run that did not tick has a tape");
+                let _perf_ticks = wavm3_obs::perf::scope("analytic.tick_loop");
+                wavm3_obs::perf::counter_add("analytic.tick_cache.replayed", tape.ticks);
+                mech.adopt(&tape.trajectory);
+                integrate(&tape.steps, &mech)
+            }
+        };
+        let _perf_finalise = wavm3_obs::perf::scope("analytic.finalise");
+
+        let phases = mech.phases();
+        let dt_us = mech.cfg.timing.tick.as_micros();
+        let dt_s = mech.cfg.timing.tick.as_secs_f64();
+
+        // --- OU wander per phase window, from its exact discrete moments,
+        // on dedicated counter streams (the sampled engine's per-tick
+        // wander streams are left untouched).
+        // Tick ownership: window [a, b) owns ticks ceil(a/dt)..ceil(b/dt).
+        let k_ms = phases.ms.as_micros().div_ceil(dt_us);
+        let k_ts = phases.ts.as_micros().div_ceil(dt_us);
+        let k_te = phases.te.as_micros().div_ceil(dt_us);
+        let k_me = phases.me.as_micros().div_ceil(dt_us);
+        let noise = mech.cfg.env_noise;
+        let wander_of = |label| {
+            let mut ou = OuIntegrator::<CounterRng>::new(
+                noise.wander_tau_s,
+                noise.wander_std_w,
+                dt_s,
+                rng.counter_stream(label),
+            );
+            ou.advance(k_ms);
+            [
+                ou.window_sum(k_ts - k_ms) * dt_s,
+                ou.window_sum(k_te - k_ts) * dt_s,
+                ou.window_sum(k_me - k_te) * dt_s,
+            ]
+        };
+        let w_src = wander_of("wander.analytic.source");
+        let w_dst = wander_of("wander.analytic.target");
+
+        let breakdown = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
+            let t = [
+                ints[0].total_j() + w[0],
+                ints[1].total_j() + w[1],
+                ints[2].total_j() + w[2],
+            ];
+            EnergyBreakdown {
+                initiation_j: t[0],
+                transfer_j: t[1],
+                activation_j: if mech.aborted { 0.0 } else { t[2] },
+                rollback_j: if mech.aborted { t[2] } else { 0.0 },
+            }
+        };
+        let source_energy = breakdown(&int_src, &w_src);
+        let target_energy = breakdown(&int_dst, &w_dst);
+        let record = mech.finish(phases, source_energy, target_energy);
+
+        if ledger_on {
+            let terms = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
+                [
+                    spread(&ints[0], w[0]),
+                    spread(&ints[1], w[1]),
+                    spread(&ints[2], w[2]),
+                ]
+            };
+            mech.record_ledger(terms(&int_src, &w_src), terms(&int_dst, &w_dst));
+        }
+
+        // Hand the warm buffers back so the next repetition reuses their
+        // capacity (the tick loop's pushes then never touch the allocator).
+        arena.recycle(mech);
+        record
+    }
+
+    /// Tick `mech` through `[ms, me]`, recording each tick's power inputs
+    /// into `steps`, and price them; returns the per-window integrals and
+    /// the number of ticks.
+    fn tick(
+        &self,
+        mech: &mut Mechanism,
+        steps: &mut Vec<Step>,
+        arena: &mut RunSlot,
+    ) -> (Integrals, u64) {
         let cfg = mech.cfg;
         let link = self.cluster.link;
-        let (src_power, dst_power) = (mech.src_power, mech.dst_power);
         let ms = mech.ms;
 
         let dt = cfg.timing.tick;
         let dt_s = dt.as_secs_f64();
         let dt_us = dt.as_micros();
-
-        // The wander runs on dedicated counter streams; the sampled engine's
-        // per-tick wander streams are left untouched.
-        let noise = cfg.env_noise;
-        let wander = |label| {
-            OuIntegrator::<CounterRng>::new(
-                noise.wander_tau_s,
-                noise.wander_std_w,
-                dt_s,
-                rng.counter_stream(label),
-            )
-        };
-        let mut src_wander = wander("wander.analytic.source");
-        let mut dst_wander = wander("wander.analytic.target");
-        let ledger_on = wavm3_obs::ledger_active();
 
         // Slot state starts at the first processed tick: the one containing
         // `ms` (it can straddle `ms` when the tick doesn't divide it, and its
@@ -261,17 +463,14 @@ impl MigrationSimulation {
         let mut now = SimTime::from_micros(k0 * dt_us);
         let mut hosts = Hosts::new(self, now, |w| w.demand_profile(), arena);
 
-        let mut pow_src = PowCache::new(src_power.cpu_exponent);
-        let mut pow_dst = PowCache::new(dst_power.cpu_exponent);
-
-        // Per-phase deterministic integrals: [initiation, transfer, tail].
-        let mut int_src = [TermIntegral::default(); 3];
-        let mut int_dst = [TermIntegral::default(); 3];
+        let mut pow_src = PowCache::new(mech.src_power.cpu_exponent);
+        let mut pow_dst = PowCache::new(mech.dst_power.cpu_exponent);
+        steps.clear();
 
         // --- Tick-invariant prelude cache. ---------------------------------
         // When every workload's line-share / write-rate folds are profile
         // constants (`semi_ok`), the running counts, those folds, the
-        // migration's CPU and the non-CPU power terms are invariant between
+        // migration's CPU and the non-CPU power inputs are invariant between
         // state-changing events: stage boundaries, suspend / resume /
         // relocation, post-copy demand ramp, fault-window edges. Only the
         // demand curves move, and on hosts whose every curve is
@@ -319,7 +518,7 @@ impl MigrationSimulation {
 
             // --- Stage edges and the injected abort. ---
             let moves = mech.stage_edges(now);
-            hosts.apply_moves(&mech, moves);
+            hosts.apply_moves(mech, moves);
             let migrant_factor = mech.migrant_factor();
             if moves.edge || migrant_factor != cache.migrant_factor {
                 cache_dirty = true;
@@ -328,7 +527,7 @@ impl MigrationSimulation {
             // --- Refresh demands, resolve allocations and the bandwidth. ---
             let p = if cache_dirty {
                 ticks_full += 1;
-                cache = hosts.prelude(&mut mech, now);
+                cache = hosts.prelude(mech, now);
                 cache_dirty = !semi_ok;
                 // Whether spans may follow, decided here: running counts, stage
                 // and migration cores change only at events, and every event
@@ -376,15 +575,15 @@ impl MigrationSimulation {
 
             // --- Advance the transfer within this tick (may cross rounds). ---
             let moves = mech.advance_transfer(now, dt_s, p.bw, p.migrant_wr);
-            let sums_stale = hosts.apply_moves(&mech, moves);
+            let sums_stale = hosts.apply_moves(mech, moves);
             let current_bw = if moves.edge { 0.0 } else { p.bw };
             if moves.edge || sums_stale {
                 cache_dirty = true;
             }
 
-            // --- Ground-truth power for both hosts at this instant. ---
+            // --- Ground-truth power inputs for both hosts at this instant. ---
             let migr_nic = link.line_utilisation(current_bw);
-            let (svc_src, svc_dst) = mech.service_power();
+            let (svc_src, svc_dst) = mech.service_base();
             // The memory-activity term reads the post-sub-loop placement; when
             // the sub-loop suspended or relocated the migrant, re-fold the
             // write rates.
@@ -396,8 +595,7 @@ impl MigrationSimulation {
                     hosts.dst.write_rate_sum(0.0, now),
                 )
             };
-            let mut src_terms = terms_for(
-                &src_power,
+            let mut src = HostTick::new(
                 PowerInputs {
                     cpu_utilisation: p.src_alloc.utilisation(),
                     nic_utilisation: (migr_nic + p.src.bg()).min(1.0),
@@ -406,8 +604,7 @@ impl MigrationSimulation {
                 },
                 &mut pow_src,
             );
-            let mut dst_terms = terms_for(
-                &dst_power,
+            let mut dst = HostTick::new(
                 PowerInputs {
                     cpu_utilisation: p.dst_alloc.utilisation(),
                     nic_utilisation: (migr_nic + p.dst.bg()).min(1.0),
@@ -432,9 +629,7 @@ impl MigrationSimulation {
             for w in 0..3 {
                 let o = overlap_us(a, a + dt_us, edges[w], edges[w + 1]);
                 if o > 0 {
-                    let secs = o as f64 / 1e6;
-                    int_src[w].accumulate(&src_terms, secs);
-                    int_dst[w].accumulate(&dst_terms, secs);
+                    book(steps, w, o as f64 / 1e6, 1, src, dst);
                 }
             }
 
@@ -444,9 +639,9 @@ impl MigrationSimulation {
             // After a full tick that leaves the cache clean, the ticks up to
             // the next event move only the ripple oscillators and the
             // transfer state, so they replay only those: on a rippling host
-            // the demand refresh, `vm_cores` fold, Eq. 2 allocation and CPU
-            // term, then the transfer state and the per-tick accumulation —
-            // the loop's own float operations in the same order, which keeps
+            // the demand refresh, `vm_cores` fold, Eq. 2 allocation and
+            // `u^e`, then the transfer state and the tick's record — the
+            // loop's own float operations in the same order, which keeps
             // every result bit-identical (a closed form `terms·n·dt` would
             // round differently).
             if spannable && !cache_dirty {
@@ -481,34 +676,32 @@ impl MigrationSimulation {
                         .min(edges[w + 1].saturating_sub(now_us) / dt_us)
                 };
                 let secs = dt_us as f64 / 1e6;
-                // A constant run's power is frozen; its replay loop stays free
-                // of the ripple work.
+                // A constant run's inputs are frozen: its span is one record
+                // entry, and its replay loop stays free of the ripple work.
                 let k = if fast_ok {
-                    replay(&mut mech, &cache, dt_s, n, |_| {
-                        int_src[w].accumulate(&src_terms, secs);
-                        int_dst[w].accumulate(&dst_terms, secs);
-                    })
+                    let k = replay(mech, &cache, dt_s, n, |_| {});
+                    if k > 0 {
+                        book(steps, w, secs, k, src, dst);
+                    }
+                    k
                 } else {
                     let in_transfer = mech.stage == Stage::Transfer;
                     let (migr_src, migr_dst) = mech.migration_cores(cache.migrant_wr);
-                    replay(&mut mech, &cache, dt_s, n, |k| {
+                    replay(mech, &cache, dt_s, n, |k| {
                         let t = now + SimDuration::from_micros(k * dt_us);
                         if !hosts.src.constant {
                             let vm_cores = hosts.src.refresh_vm_cores(t, cache.migrant_factor);
                             let a = hosts.src.allocate(cache.src.running, vm_cores, migr_src);
                             debug_assert!(!in_transfer || a.scale == 1.0, "source saturated");
-                            src_terms =
-                                with_cpu(&src_power, a.utilisation(), &mut pow_src, src_terms);
+                            src.f = pow_src.eval(a.utilisation());
                         }
                         if !hosts.dst.constant {
                             let vm_cores = hosts.dst.refresh_vm_cores(t, cache.migrant_factor);
                             let a = hosts.dst.allocate(cache.dst.running, vm_cores, migr_dst);
                             debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
-                            dst_terms =
-                                with_cpu(&dst_power, a.utilisation(), &mut pow_dst, dst_terms);
+                            dst.f = pow_dst.eval(a.utilisation());
                         }
-                        int_src[w].accumulate(&src_terms, secs);
-                        int_dst[w].accumulate(&dst_terms, secs);
+                        book(steps, w, secs, 1, src, dst);
                     })
                 };
                 now += SimDuration::from_micros(k * dt_us);
@@ -518,63 +711,13 @@ impl MigrationSimulation {
                 cache_dirty = true;
             }
         }
+        let ints = integrate(steps, mech);
         drop(_perf_ticks);
         wavm3_obs::perf::counter_add("analytic.tick_cache.full", ticks_full);
         wavm3_obs::perf::counter_add("analytic.tick_cache.fast_hit", ticks_spanned);
         wavm3_obs::perf::counter_add("analytic.tick_cache.semi_hit", ticks_semi);
         wavm3_obs::perf::counter_add("analytic.tick_cache.spans", spans);
-        let _perf_finalise = wavm3_obs::perf::scope("analytic.finalise");
-
-        let phases = mech.phases();
-
-        // --- OU wander per phase window, from its exact discrete moments.
-        // Tick ownership: window [a, b) owns ticks ceil(a/dt)..ceil(b/dt).
-        let k_ms = phases.ms.as_micros().div_ceil(dt_us);
-        let k_ts = phases.ts.as_micros().div_ceil(dt_us);
-        let k_te = phases.te.as_micros().div_ceil(dt_us);
-        let k_me = phases.me.as_micros().div_ceil(dt_us);
-        let wander_of = |ou: &mut OuIntegrator<CounterRng>| {
-            ou.advance(k_ms);
-            [
-                ou.window_sum(k_ts - k_ms) * dt_s,
-                ou.window_sum(k_te - k_ts) * dt_s,
-                ou.window_sum(k_me - k_te) * dt_s,
-            ]
-        };
-        let w_src = wander_of(&mut src_wander);
-        let w_dst = wander_of(&mut dst_wander);
-
-        let breakdown = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
-            let t = [
-                ints[0].total_j() + w[0],
-                ints[1].total_j() + w[1],
-                ints[2].total_j() + w[2],
-            ];
-            EnergyBreakdown {
-                initiation_j: t[0],
-                transfer_j: t[1],
-                activation_j: if mech.aborted { 0.0 } else { t[2] },
-                rollback_j: if mech.aborted { t[2] } else { 0.0 },
-            }
-        };
-        let source_energy = breakdown(&int_src, &w_src);
-        let target_energy = breakdown(&int_dst, &w_dst);
-        let record = mech.finish(phases, source_energy, target_energy);
-
-        if ledger_on {
-            let terms = |ints: &[TermIntegral; 3], w: &[f64; 3]| {
-                [
-                    spread(&ints[0], w[0]),
-                    spread(&ints[1], w[1]),
-                    spread(&ints[2], w[2]),
-                ]
-            };
-            mech.record_ledger(terms(&int_src, &w_src), terms(&int_dst, &w_dst));
-        }
-
-        // Hand the warm buffers back so the next repetition reuses their
-        // capacity (the tick loop's pushes then never touch the allocator).
-        arena.recycle(mech, hosts);
-        record
+        arena.recycle_hosts(hosts);
+        (ints, ticks_full + ticks_spanned + ticks_semi)
     }
 }

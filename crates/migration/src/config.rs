@@ -1,9 +1,10 @@
 //! Migration engine configuration.
 
+use crate::engine::HORIZON;
 use serde::{Deserialize, Serialize};
 use wavm3_faults::FaultConfig;
 use wavm3_harness::{ensure_non_negative, ensure_ordered, Wavm3Error};
-use wavm3_simkit::SimDuration;
+use wavm3_simkit::{SimDuration, SimTime};
 
 /// Which migration mechanism to run (paper §III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -138,6 +139,28 @@ pub struct TimingConfig {
     pub tick: SimDuration,
     /// Post-copy only: length of the CPU-state handover (the downtime).
     pub postcopy_handover: SimDuration,
+}
+
+impl TimingConfig {
+    /// The earliest start of the last tick a run can need when its transfer
+    /// takes at least `transfer`. The sampled engine ticks from 0, starts
+    /// the transfer on the first tick at or after `pre_run + initiation`,
+    /// and, if its meters never settle, stops on the first tick at or after
+    /// `me + post_run_max`, `me` lying `activation` past the transfer's
+    /// end; the analytic engine stops on the first tick at or after `me`.
+    pub(crate) fn last_tick_bound(&self, transfer: SimDuration) -> SimTime {
+        let dt = self.tick.as_micros();
+        let on_tick = |t: u64| t.div_ceil(dt).saturating_mul(dt);
+        let ts = on_tick(
+            self.pre_run
+                .as_micros()
+                .saturating_add(self.initiation.as_micros()),
+        );
+        let end = [transfer, self.activation, self.post_run_max]
+            .iter()
+            .fold(ts, |t, d| t.saturating_add(d.as_micros()));
+        SimTime::from_micros(on_tick(end))
+    }
 }
 
 impl Default for TimingConfig {
@@ -349,6 +372,15 @@ impl MigrationConfig {
     /// and any invalid fault configuration — at construction, so a bad
     /// config surfaces as one [`Wavm3Error`] instead of a panic deep in
     /// the engine mid-campaign.
+    ///
+    /// Both engines assert at the top of every tick that it starts before
+    /// the 3,600 s simulation horizon, so a tick and timing envelope whose
+    /// last tick cannot start before it is rejected too: even with an
+    /// instant transfer, the run needs a tick at or after the first tick
+    /// boundary past `pre_run + initiation`, plus `activation` and the
+    /// tail's cap `post_run_max`, rounded up to a tick boundary.
+    /// [`MigrationSimulation::try_new`](crate::MigrationSimulation::try_new)
+    /// adds the migrant's image at the rate cap to that bound.
     pub fn validate(&self) -> Result<(), Wavm3Error> {
         self.precopy.validate()?;
         for (field, w) in [
@@ -396,6 +428,16 @@ impl MigrationConfig {
             "timing.post_run_max",
             self.timing.post_run_max,
         )?;
+        let last_tick = self.timing.last_tick_bound(SimDuration::ZERO);
+        if last_tick >= HORIZON {
+            return Err(Wavm3Error::invalid_config(
+                "timing",
+                format!(
+                    "the run's last tick starts at {last_tick} or later, past the \
+                     {HORIZON} simulation horizon"
+                ),
+            ));
+        }
         self.env_noise.validate()?;
         self.faults.validate()
     }

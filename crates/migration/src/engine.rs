@@ -26,6 +26,7 @@
 //! The per-tick calls both loops make are `#[inline(always)]`: left to the
 //! compiler they stayed out of line and cost constant-host campaigns ~5 %.
 
+use crate::analytic::Step;
 use crate::config::{EnvNoise, MigrationConfig, MigrationKind};
 use crate::record::{MigrationOutcome, MigrationRecord, RoundStats};
 use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
@@ -143,8 +144,8 @@ pub(crate) struct Mechanism {
     /// Endpoint power profiles with this run's jitter applied.
     pub(crate) src_power: PowerProfile,
     pub(crate) dst_power: PowerProfile,
-    src_service_factor: f64,
-    dst_service_factor: f64,
+    pub(crate) src_service_factor: f64,
+    pub(crate) dst_service_factor: f64,
     pub(crate) src_name: String,
     pub(crate) dst_name: String,
     machine_set: MachineSet,
@@ -176,6 +177,18 @@ pub(crate) struct Mechanism {
     /// Memo of the last dirty-saturation `(argument, exp)`: the argument
     /// repeats for every full-length sub-step of a round.
     dirty_exp: (f64, f64),
+}
+
+/// Where a run's mechanism ends up when its fault plan is empty: a pure
+/// function of the scenario, the same in every repetition of a prototype
+/// whatever the run's jitter (see the `analytic.rs` module docs).
+pub(crate) struct Trajectory {
+    ts: SimTime,
+    te: Option<SimTime>,
+    rounds: Vec<RoundStats>,
+    total_bytes: f64,
+    suspend_time: Option<SimTime>,
+    resume_time: Option<SimTime>,
 }
 
 impl Mechanism {
@@ -609,16 +622,22 @@ impl Mechanism {
     }
 
     /// Per-stage service power of the migration machinery on source and
-    /// target, watts, with this run's jitter.
+    /// target, watts, before this run's jitter.
     #[inline]
-    pub(crate) fn service_power(&self) -> (f64, f64) {
+    pub(crate) fn service_base(&self) -> (f64, f64) {
         let svc = self.cfg.service;
-        let (src, dst) = match self.stage {
+        match self.stage {
             Stage::Initiation => (svc.init_source_w, svc.init_target_w),
             Stage::Transfer => (svc.transfer_source_w, svc.transfer_target_w),
             Stage::Activation => (svc.activation_source_w, svc.activation_target_w),
             _ => (0.0, 0.0),
-        };
+        }
+    }
+
+    /// [`Self::service_base`] with this run's jitter.
+    #[inline]
+    pub(crate) fn service_power(&self) -> (f64, f64) {
+        let (src, dst) = self.service_base();
         (src * self.src_service_factor, dst * self.dst_service_factor)
     }
 
@@ -741,6 +760,30 @@ impl Mechanism {
         }
     }
 
+    /// This run's trajectory, for later fault-free repetitions to adopt.
+    pub(crate) fn trajectory(&self) -> Trajectory {
+        Trajectory {
+            ts: self.ts,
+            te: self.te,
+            rounds: self.rounds.clone(),
+            total_bytes: self.total_bytes,
+            suspend_time: self.suspend_time,
+            resume_time: self.resume_time,
+        }
+    }
+
+    /// End where a fault-free run of the same prototype ended, instead of
+    /// ticking there: everything [`Self::phases`] and [`Self::finish`]
+    /// read. The rounds land in this run's recycled buffer.
+    pub(crate) fn adopt(&mut self, t: &Trajectory) {
+        self.ts = t.ts;
+        self.te = t.te;
+        self.rounds.extend_from_slice(&t.rounds);
+        self.total_bytes = t.total_bytes;
+        self.suspend_time = t.suspend_time;
+        self.resume_time = t.resume_time;
+    }
+
     /// Book the run in the energy ledger from each role's per-term energy
     /// over initiation, transfer and the post-`te` window; after an abort
     /// that window is rollback, not activation.
@@ -772,9 +815,11 @@ impl Mechanism {
 ///
 /// A campaign worker holds one `RunSlot` and threads it through every
 /// repetition it executes ([`MigrationSimulation::run_reusing`]); the host
-/// slot vectors, round-statistics buffer and fault-window bitmap keep their
-/// capacity between runs, so the analytic engine's steady-state tick loop
-/// performs no heap allocation at all. A default (empty) slot behaves
+/// slot vectors, round-statistics buffer, fault-window bitmap and the
+/// analytic engine's tick record keep their capacity between runs, so the
+/// analytic engine's steady-state tick loop performs no heap allocation at
+/// all. (A scenario's first fault-free analytic run copies its record into
+/// the scenario once, after the loop.) A default (empty) slot behaves
 /// identically to the one-shot path — results are a pure function of the
 /// scenario and RNG, never of what the buffers held before.
 #[derive(Default)]
@@ -783,13 +828,19 @@ pub struct RunSlot {
     dst_slots: Vec<Slot>,
     rounds: Vec<RoundStats>,
     link_seen: Vec<bool>,
+    /// The analytic tick loop's record of each tick's power inputs.
+    pub(crate) steps: Vec<Step>,
 }
 
 impl RunSlot {
-    /// Take back the buffers of a finished run.
-    pub(crate) fn recycle(&mut self, mech: Mechanism, hosts: Hosts) {
+    /// Take back the mechanism's buffers of a finished run.
+    pub(crate) fn recycle(&mut self, mech: Mechanism) {
         self.rounds = mech.rounds;
         self.link_seen = mech.link_seen;
+    }
+
+    /// Take back the slot arrays of a finished tick loop.
+    pub(crate) fn recycle_hosts(&mut self, hosts: Hosts) {
         self.src_slots = hosts.src.slots;
         self.dst_slots = hosts.dst.slots;
     }

@@ -10,11 +10,12 @@
 //! bandwidth/CPU coupling, dirty-page saturation) while the meters sample
 //! on their own 2 Hz schedule, exactly like the paper's instrumentation.
 
+use crate::analytic::Tape;
 use crate::config::{EnvNoise, MigrationConfig, SimulationPath};
 use crate::engine::{Hosts, Mechanism, RunSlot, Stage, HORIZON};
 use crate::record::{FeatureSample, MigrationRecord};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wavm3_cluster::{Cluster, HostId, VmId, PAGE_SIZE_BYTES};
 use wavm3_harness::Wavm3Error;
 use wavm3_obs::{Level, TermEnergy};
@@ -22,7 +23,7 @@ use wavm3_power::{
     channels, ground_truth_power, ground_truth_terms, EnergyBreakdown, PhaseTimes, PowerInputs,
     PowerMeter, PowerTerms, PowerTrace, TelemetryRecorder,
 };
-use wavm3_simkit::{RngFactory, SimTime};
+use wavm3_simkit::{RngFactory, SimDuration, SimTime};
 use wavm3_workloads::{Workload, WorkloadProfile};
 
 /// Page-write rate treated as 100 % memory-bus contention (pages/s).
@@ -131,6 +132,12 @@ impl TermTraces {
 }
 
 /// A fully configured migration scenario, ready to run.
+///
+/// Besides the scenario it carries one cache of a pure function of
+/// itself: the analytic engine's record of its fault-free trajectory, made
+/// by the first fault-free analytic run and replayed by every later one
+/// (see the `analytic.rs` module docs). It lives and dies with the
+/// scenario; nothing is shared between scenarios.
 pub struct MigrationSimulation {
     pub(crate) cluster: Cluster,
     pub(crate) workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -139,6 +146,7 @@ pub struct MigrationSimulation {
     pub(crate) target: HostId,
     pub(crate) config: MigrationConfig,
     pub(crate) rng: RngFactory,
+    pub(crate) tape: OnceLock<Tape>,
 }
 
 impl MigrationSimulation {
@@ -165,8 +173,10 @@ impl MigrationSimulation {
     }
 
     /// Fallible assembly: validates the configuration (NaN, negative
-    /// bandwidth, inverted intervals, ...) and the placement preconditions,
-    /// returning a taxonomy error instead of panicking.
+    /// bandwidth, inverted intervals, ...), the placement preconditions,
+    /// and that the migrant's image can cross at the rate cap before the
+    /// simulation horizon, returning a taxonomy error instead of
+    /// panicking.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -189,16 +199,30 @@ impl MigrationSimulation {
                 "migrant must start on the source host",
             ));
         }
-        let migrant_ram = cluster
+        let vm = cluster
             .vm(migrant)
-            .ok_or_else(|| Wavm3Error::invalid_input("migration", "migrant VM does not exist"))?
-            .spec
-            .ram_mib;
-        if !cluster.host(target).fits_ram(migrant_ram) {
+            .ok_or_else(|| Wavm3Error::invalid_input("migration", "migrant VM does not exist"))?;
+        if !cluster.host(target).fits_ram(vm.spec.ram_mib) {
             return Err(Wavm3Error::invalid_input(
                 "migration",
                 "migrant does not fit on the target host",
             ));
+        }
+        if let Some(cap) = config.precopy.rate_limit_bps {
+            // The engine never streams faster than `cap.max(1.0)`.
+            let image = vm.memory.total_bytes();
+            let transfer = SimDuration::from_secs_f64(image as f64 / cap.max(1.0));
+            let last_tick = config.timing.last_tick_bound(transfer);
+            if last_tick >= HORIZON {
+                return Err(Wavm3Error::invalid_config(
+                    "precopy.rate_limit_bps",
+                    format!(
+                        "at {cap} B/s the migrant's {image}-byte image keeps the run \
+                         ticking until {last_tick} or later, past the {HORIZON} \
+                         simulation horizon"
+                    ),
+                ));
+            }
         }
         Ok(MigrationSimulation {
             cluster,
@@ -208,6 +232,7 @@ impl MigrationSimulation {
             target,
             config,
             rng,
+            tape: OnceLock::new(),
         })
     }
 
@@ -221,7 +246,10 @@ impl MigrationSimulation {
     /// Run the scenario on the configured [`SimulationPath`] with the
     /// caller's per-run RNG root, recycling all transient buffers through
     /// `slot`. No engine mutates the scenario, so one prototype serves
-    /// every repetition, bit-identical to a fresh build per run.
+    /// every repetition, bit-identical to a fresh build per run. On the
+    /// analytic path the prototype's first fault-free run records its
+    /// trajectory and every later one replays it
+    /// ([`Self::run_analytic_reusing`]), still bit-identical.
     ///
     /// The analytic path materialises no per-sample rows, so while a
     /// trace sink is recording (and needs every meter sample) the run
@@ -489,7 +517,8 @@ impl MigrationSimulation {
             );
         }
 
-        slot.recycle(mech, hosts);
+        slot.recycle(mech);
+        slot.recycle_hosts(hosts);
 
         MigrationRecord {
             source_trace,
@@ -755,6 +784,67 @@ mod tests {
         assert!(bw <= 5.05e7, "rate cap violated: {bw}");
         // 4 GiB at 50 MB/s ≈ 86 s.
         assert!(r.phases.transfer().as_secs_f64() > 70.0);
+    }
+
+    /// Configs `validate` used to accept that then ticked past `HORIZON`
+    /// and panicked: a 5,000 s tick, a 1,800 s tick (the sampled tail's
+    /// tick lands on the horizon), a 4,000 s initiation, a 4,000 s tail,
+    /// and a 1 MB/s cap for the 4 GiB migrant. Each is a config error on
+    /// both paths; at 2 MB/s the image crosses in time and the run ends.
+    #[test]
+    fn configs_that_cannot_fit_the_horizon_are_config_errors() {
+        type Edit = fn(&mut MigrationConfig);
+        let build = |path, edit: Edit| {
+            let (src_spec, dst_spec) = hardware::pair(MachineSet::M);
+            let mut cluster = Cluster::new(Link::gigabit());
+            let source = cluster.add_host(src_spec);
+            let target = cluster.add_host(dst_spec);
+            let vm = cluster.boot_vm(source, vm_instances::migrating_cpu());
+            let mut workloads: BTreeMap<VmId, Arc<dyn Workload>> = BTreeMap::new();
+            workloads.insert(vm, Arc::new(MatMulWorkload::full(4)));
+            let mut config = MigrationConfig::live();
+            config.path = path;
+            edit(&mut config);
+            MigrationSimulation::try_new(
+                cluster,
+                workloads,
+                vm,
+                source,
+                target,
+                config,
+                RngFactory::new(12),
+            )
+        };
+        const fn secs(s: u64) -> SimDuration {
+            SimDuration::from_secs(s)
+        }
+        let probes: [(&str, Edit); 5] = [
+            ("timing", |c| c.timing.tick = secs(5_000)),
+            ("timing", |c| c.timing.tick = secs(1_800)),
+            ("timing", |c| c.timing.initiation = secs(4_000)),
+            ("timing", |c| {
+                c.timing.post_run_min = secs(4_000);
+                c.timing.post_run_max = secs(4_000);
+            }),
+            ("precopy.rate_limit_bps", |c| {
+                c.precopy.rate_limit_bps = Some(1.0e6)
+            }),
+        ];
+        for path in [SimulationPath::Analytic, SimulationPath::Sampled] {
+            for (i, (field, edit)) in probes.iter().enumerate() {
+                match build(path, *edit) {
+                    Err(Wavm3Error::InvalidConfig { field: f, .. }) => {
+                        assert_eq!(f, *field, "probe {i} on {path:?}")
+                    }
+                    Err(e) => panic!("probe {i} on {path:?}: {e}"),
+                    Ok(_) => panic!("probe {i} on {path:?} was accepted"),
+                }
+            }
+            let r = build(path, |c| c.precopy.rate_limit_bps = Some(2.0e6))
+                .expect("4 GiB at 2 MB/s crosses in time")
+                .run();
+            assert!(r.phases.me < HORIZON, "{path:?}: me {}", r.phases.me);
+        }
     }
 
     #[test]

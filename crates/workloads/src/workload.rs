@@ -96,9 +96,13 @@ impl WorkloadProfile {
 /// A guest workload as the simulator sees it: how much CPU it wants and how
 /// fast it dirties memory pages, both as functions of simulation time.
 ///
-/// Implementations must be deterministic functions of `t` — all randomness
-/// is injected at construction time (seeded), never at query time, so the
-/// simulator can re-query any instant idempotently.
+/// Every method must be a pure function of `t` (and of the workload's own
+/// construction-time state): all randomness is injected at construction
+/// time (seeded), never at query time, and no query changes what a later
+/// one returns, so the simulator can re-query any instant idempotently.
+/// Prototype reuse relies on this: a campaign runs every repetition of a
+/// scenario on one simulation, and the analytic engine replays the
+/// trajectory of its first fault-free run in the others.
 pub trait Workload: Send + Sync {
     /// Human-readable workload name ("matrixmult", "pagedirtier", …).
     fn name(&self) -> &str;

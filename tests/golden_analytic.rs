@@ -33,8 +33,10 @@ use wavm3::cluster::{hardware, vm_instances, Cluster, Link, VmId, PAGE_SIZE_BYTE
 use wavm3::faults::{AbortFault, FaultConfig};
 use wavm3::migration::simulation::PEAK_PAGE_WRITE_RATE;
 use wavm3::migration::{
-    EnvNoise, MigrationConfig, MigrationKind, MigrationRecord, MigrationSimulation, SimulationPath,
+    EnvNoise, MigrationConfig, MigrationKind, MigrationRecord, MigrationSimulation, RunSlot,
+    SimulationPath,
 };
+use wavm3::obs::{run_scope, LedgerEntry, ObsConfig, Session};
 use wavm3::simkit::{RngFactory, SimDuration, SimTime};
 use wavm3::workloads::{IdleWorkload, MatMulWorkload, PageDirtierWorkload, Workload};
 
@@ -203,10 +205,23 @@ const CONSTANT_VARIANTS: [Variant; 2] = [
 ];
 
 fn run_config(base: Base, variant: &Variant, background: Background, seed: u64) -> MigrationRecord {
+    build_config(base, variant, background, seed, None).run()
+}
+
+/// The scenario `run_config` runs, with `faults` in place of the variant's
+/// fault config when given.
+fn build_config(
+    base: Base,
+    variant: &Variant,
+    background: Background,
+    seed: u64,
+    faults: Option<FaultConfig>,
+) -> MigrationSimulation {
     let mut cfg = MigrationConfig::new(base.kind);
     cfg.path = SimulationPath::Analytic;
     let mut mem_ratio = base.mem_ratio;
     (variant.apply)(&mut cfg, &mut mem_ratio);
+    cfg.faults = faults.unwrap_or(cfg.faults);
     cfg.validate().expect("adversarial configs stay valid");
 
     let mut cluster = Cluster::new(Link::gigabit());
@@ -243,7 +258,7 @@ fn run_config(base: Base, variant: &Variant, background: Background, seed: u64) 
     workloads.insert(bg_src, w_src);
     workloads.insert(bg_dst, w_dst);
 
-    MigrationSimulation::new(cluster, workloads, vm, src, dst, cfg, RngFactory::new(seed)).run()
+    MigrationSimulation::new(cluster, workloads, vm, src, dst, cfg, RngFactory::new(seed))
 }
 
 /// One golden line per config: discrete outcome fields exactly, then the
@@ -378,6 +393,25 @@ fn constant_host_configs_match_their_goldens() {
 /// constant set's extra variants (link faults, an odd tick).
 #[test]
 fn saturated_ripple_scenarios_match_their_goldens() {
+    let mut actual = String::new();
+    for (name, seed, build) in saturated_ripple_configs() {
+        actual.push_str(&render(&name, &build(seed, None).run()));
+    }
+    check_golden("analytic_saturated_ripple.txt", 21, &actual);
+}
+
+/// A golden config: its name, seed, and a builder taking the seed and an
+/// optional fault config to use in place of the config's own.
+type Config = (
+    String,
+    u64,
+    Box<dyn Fn(u64, Option<FaultConfig>) -> MigrationSimulation>,
+);
+
+/// The third golden set's configs: Table IIa scenarios on m01–m02 whose
+/// rippling host saturates during transfer, under the default config and
+/// the constant set's extra variants.
+fn saturated_ripple_configs() -> Vec<Config> {
     use wavm3::cluster::MachineSet;
     use wavm3::experiments::scenario::ExperimentFamily as F;
     use wavm3::experiments::Scenario;
@@ -396,7 +430,7 @@ fn saturated_ripple_scenarios_match_their_goldens() {
         (F::MemloadTarget, Live, 8),
     ];
     let variants = [&DEFAULT, &CONSTANT_VARIANTS[0], &CONSTANT_VARIANTS[1]];
-    let mut actual = String::new();
+    let mut configs: Vec<Config> = Vec::new();
     for (si, &(family, kind, load_vms)) in scenarios.iter().enumerate() {
         let scenario = Scenario::family_scenarios(family, MachineSet::M)
             .into_iter()
@@ -406,8 +440,6 @@ fn saturated_ripple_scenarios_match_their_goldens() {
             let mut cfg = MigrationConfig::new(kind);
             cfg.path = SimulationPath::Analytic;
             (variant.apply)(&mut cfg, &mut None);
-            let seed = 3000 + (si * variants.len() + vi) as u64;
-            let r = scenario.build_with_config(RngFactory::new(seed), cfg).run();
             let name = format!(
                 "{}/{}/{}VM/{}",
                 family.label(),
@@ -415,10 +447,112 @@ fn saturated_ripple_scenarios_match_their_goldens() {
                 load_vms,
                 variant.name
             );
-            actual.push_str(&render(&name, &r));
+            let scenario = scenario.clone();
+            let build = move |seed, faults: Option<FaultConfig>| {
+                let cfg = MigrationConfig {
+                    faults: faults.unwrap_or(cfg.faults),
+                    ..cfg
+                };
+                scenario.build_with_config(RngFactory::new(seed), cfg)
+            };
+            let seed = 3000 + (si * variants.len() + vi) as u64;
+            configs.push((name, seed, Box::new(build)));
         }
     }
-    check_golden("analytic_saturated_ripple.txt", 21, &actual);
+    configs
+}
+
+/// Every config of the three golden sets, with and without
+/// `FaultConfig::light()`: one prototype runs reps 0–5 through
+/// `run_reusing` on `RngFactory::new(seed).child(rep)`, so its fault-free
+/// reps after the first replay its tape, and each rep must equal a fresh
+/// prototype's first, ticked, run on the same root — every energy and
+/// ledger term bit for bit, and phases, rounds, bytes, downtime, outcome
+/// and fault events exactly.
+#[test]
+fn replayed_runs_equal_ticked_runs_bit_for_bit() {
+    let mut configs = saturated_ripple_configs();
+    let golden_sets = [
+        (
+            &BASES[..],
+            VARIANTS.iter().collect::<Vec<_>>(),
+            Background::Ripple,
+            1000,
+        ),
+        (
+            &CONSTANT_BASES[..],
+            VARIANTS.iter().chain(&CONSTANT_VARIANTS).collect(),
+            Background::Constant,
+            2000,
+        ),
+    ];
+    for (bases, variants, background, seed0) in golden_sets {
+        for (bi, &base) in bases.iter().enumerate() {
+            for (vi, &variant) in variants.iter().enumerate() {
+                let name = format!("{}/{}", base.name, variant.name);
+                let seed = seed0 + (bi * variants.len() + vi) as u64;
+                let build =
+                    move |seed, faults| build_config(base, variant, background, seed, faults);
+                configs.push((name, seed, Box::new(build)));
+            }
+        }
+    }
+    assert_eq!(configs.len(), 32 + 30 + 21);
+
+    let session = Session::install(ObsConfig {
+        ledger: true,
+        ..ObsConfig::default()
+    });
+    let mut runs = Vec::new();
+    for (name, seed, build) in &configs {
+        for faults in [None, Some(FaultConfig::light())] {
+            let prototype = build(*seed, faults);
+            let mut slot = RunSlot::default();
+            for rep in 0..6 {
+                let rng = RngFactory::new(*seed).child(rep);
+                let key = format!("{name}/{}/{rep}", faults.is_some());
+                let reused = run_scope(format!("{key}/reused"), || {
+                    prototype.run_reusing(rng, &mut slot)
+                });
+                let ticked = run_scope(format!("{key}/ticked"), || {
+                    build(*seed, faults).run_reusing(rng, &mut RunSlot::default())
+                });
+                runs.push((key, reused, ticked));
+            }
+        }
+    }
+    let ledger: BTreeMap<String, LedgerEntry> = session.finish().ledger.into_iter().collect();
+
+    let energy_bits = |r: &MigrationRecord| {
+        [r.source_energy, r.target_energy]
+            .map(|e| [e.initiation_j, e.transfer_j, e.activation_j, e.rollback_j].map(f64::to_bits))
+    };
+    let ledger_bits = |key: &str| {
+        let entry = ledger.get(key).expect("one ledger entry per run");
+        [entry.source, entry.target].map(|role| {
+            [
+                role.initiation,
+                role.transfer,
+                role.activation,
+                role.rollback,
+            ]
+            .map(|t| [t.idle_j, t.cpu_j, t.mem_dirty_j, t.network_j, t.service_j].map(f64::to_bits))
+        })
+    };
+    for (key, reused, ticked) in &runs {
+        assert_eq!(energy_bits(reused), energy_bits(ticked), "{key}: energies");
+        assert_eq!(
+            ledger_bits(&format!("{key}/reused")),
+            ledger_bits(&format!("{key}/ticked")),
+            "{key}: ledger"
+        );
+        assert_eq!(reused.phases, ticked.phases, "{key}: phases");
+        assert_eq!(reused.rounds, ticked.rounds, "{key}: rounds");
+        assert_eq!(reused.total_bytes, ticked.total_bytes, "{key}: bytes");
+        assert_eq!(reused.downtime, ticked.downtime, "{key}: downtime");
+        assert_eq!(reused.outcome, ticked.outcome, "{key}: outcome");
+        assert_eq!(reused.fault_events, ticked.fault_events, "{key}: faults");
+    }
 }
 
 /// The hand-computed oracles' set-up: one `migrating_mem()` VM running

@@ -91,13 +91,17 @@ fn tick_count(records: &[Vec<MigrationRecord>]) -> u64 {
         .sum()
 }
 
-/// The tick-cache counters: `(full + fast_hit + semi_hit, spans)`.
-fn tick_tiers(perf: &PerfSnapshot) -> (u64, u64) {
+/// The tick-cache counters: `(full + fast_hit + semi_hit + replayed,
+/// replayed, spans)`. The tiers count the ticks that were stepped,
+/// `replayed` the ticks served from a scenario's tape.
+fn tick_tiers(perf: &PerfSnapshot) -> (u64, u64, u64) {
     let get = |k: &str| perf.counters.get(k).copied().unwrap_or(0);
+    let replayed = get("analytic.tick_cache.replayed");
     let tiers = get("analytic.tick_cache.full")
         + get("analytic.tick_cache.fast_hit")
-        + get("analytic.tick_cache.semi_hit");
-    (tiers, get("analytic.tick_cache.spans"))
+        + get("analytic.tick_cache.semi_hit")
+        + replayed;
+    (tiers, replayed, get("analytic.tick_cache.spans"))
 }
 
 fn profiled() -> ObsConfig {
@@ -149,8 +153,9 @@ fn snapshot_counts_are_identical_across_thread_counts() {
         assert_eq!(n, eight.perf.count_of(stage), "{stage}: 1 vs 8 threads");
     }
 
-    // The tick-cache tiers partition the tick count deterministically.
-    let (tiers, _) = tick_tiers(&one.perf);
+    // The tick-cache tiers and the replayed ticks partition the tick count
+    // deterministically.
+    let (tiers, _, _) = tick_tiers(&one.perf);
     assert_eq!(
         tiers,
         tick_count(&records),
@@ -159,24 +164,28 @@ fn snapshot_counts_are_identical_across_thread_counts() {
     );
 }
 
+/// Exactly one run per scenario ticks and records its tape, whatever the
+/// thread count: a second recorder racing the first would step more spans
+/// and replay fewer ticks.
 #[test]
 fn ripple_and_constant_campaigns_step_the_same_spans_at_every_thread_count() {
     for (set, scenarios) in [("ripple", scenarios()), ("constant", constant_scenarios())] {
         let run = |threads| {
             let (report, records) =
                 run_on(threads, profiled(), SimulationPath::Analytic, &scenarios);
-            let (tiers, spans) = tick_tiers(&report.perf);
+            let (tiers, replayed, spans) = tick_tiers(&report.perf);
             assert_eq!(
                 tiers,
                 tick_count(&records),
                 "{set}, {threads} threads: tier sum"
             );
-            spans
+            (replayed, spans)
         };
-        let spans = run(1);
+        let (replayed, spans) = run(1);
         assert!(spans > 0, "the {set} campaign must step spans");
-        assert_eq!(spans, run(2), "{set} spans: 1 vs 2 threads");
-        assert_eq!(spans, run(8), "{set} spans: 1 vs 8 threads");
+        assert!(replayed > 0, "the {set} campaign must replay tapes");
+        assert_eq!((replayed, spans), run(2), "{set}: 1 vs 2 threads");
+        assert_eq!((replayed, spans), run(8), "{set}: 1 vs 8 threads");
     }
 }
 
