@@ -39,13 +39,18 @@ impl Request {
     }
 }
 
-/// Read and parse one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+/// Read and parse one request from the stream, however its bytes are
+/// split into reads.
+pub fn read_request<R: Read>(stream: &mut R) -> io::Result<Request> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
+    // Where the blank line ending the head could still start: the bytes
+    // before it were searched after earlier reads.
+    let mut unsearched = 0;
     let split = loop {
         // A head that has not ended yet counts what has arrived.
-        let end = find_head_end(&head);
+        let end = find_head_end(&head[unsearched..]).map(|pos| unsearched + pos);
+        unsearched = head.len().saturating_sub(3);
         if end.map_or(head.len(), |pos| pos + 4) > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -94,15 +99,24 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    // RFC 9112 §6.3: a length is `1*DIGIT`, and repeated headers agree.
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| v.parse::<usize>().ok())
+            .flatten()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
+        if content_length.is_some_and(|m| m != n) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "conflicting content-length",
+            ));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,

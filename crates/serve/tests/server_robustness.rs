@@ -116,6 +116,24 @@ fn malformed_and_unknown_requests_stay_client_errors() {
         );
     }
 
+    // A length is `1*DIGIT` (no sign), and repeated lengths must agree
+    // (RFC 9112 §6.3). Each request arrives in one write, body included.
+    for length in [
+        "content-length: +5",
+        "content-length: 5\r\ncontent-length: 6",
+    ] {
+        let request = format!("GET /healthz HTTP/1.1\r\n{length}\r\n\r\nhello");
+        let mut stream = connect(&handle);
+        stream.write_all(request.as_bytes()).expect("write request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert_eq!(
+            response.split_whitespace().nth(1),
+            Some("400"),
+            "{length:?}: {response}"
+        );
+    }
+
     let snapshot = handle.registry().snapshot();
     assert_eq!(
         snapshot.counters.get("serve.responses.client_error"),
