@@ -189,6 +189,47 @@ fn ripple_and_constant_campaigns_step_the_same_spans_at_every_thread_count() {
     }
 }
 
+/// Eight threads released at once onto one prototype: exactly one run
+/// ticks and records the tape, and the other seven replay it. A 1 ms
+/// tick makes the recording run long enough for the others to race it.
+#[test]
+fn one_run_records_the_tape_however_many_threads_race_for_it() {
+    use std::sync::Barrier;
+    use wavm3::migration::RunSlot;
+    use wavm3::simkit::{RngFactory, SimDuration};
+    let scenario = &scenarios()[0];
+    let mut config = MigrationConfig::new(scenario.kind);
+    config.path = SimulationPath::Analytic;
+    config.timing.tick = SimDuration::from_millis(1);
+    let prototype = scenario.build_with_config(RngFactory::new(5), config);
+    let session = Session::install(profiled());
+    let barrier = Barrier::new(8);
+    let records: Vec<MigrationRecord> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..8)
+            .map(|i| {
+                let (prototype, barrier) = (&prototype, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    prototype.run_reusing(RngFactory::new(5).child(i), &mut RunSlot::default())
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("run"))
+            .collect()
+    });
+    let (tiers, replayed, spans) = tick_tiers(&session.finish().perf);
+    let dt = config.timing.tick.as_micros();
+    let ticks: u64 = records
+        .iter()
+        .map(|r| r.phases.me.as_micros().div_ceil(dt) - r.phases.ms.as_micros() / dt)
+        .sum();
+    assert_eq!(tiers, ticks, "tier sum");
+    assert_eq!(replayed, ticks / 8 * 7, "seven runs replay");
+    assert!(spans > 0, "the recording run steps spans");
+}
+
 #[test]
 fn profiler_does_not_perturb_deterministic_outputs() {
     let traced = |profiling: bool| {
