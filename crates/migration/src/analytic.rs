@@ -41,23 +41,13 @@
 //!   Post-copy transfer never spans: its demand ramp moves each tick. A
 //!   tick outside a span takes the full prelude, or the semi-cached one
 //!   while spans must wait;
-//! * the tick loop prices nothing itself: it records each tick's power
-//!   inputs that no run's draws can move (`u^e`, clamped NIC and memory
-//!   activity, the stage's unjittered service power, the window and the
-//!   overlap), merging repeats into counts, and `integrate` builds and
-//!   accumulates the terms with the run's jittered profiles afterwards;
-//! * a prototype's fault-free runs share that record. `Mechanism::new`
-//!   draws only the power jitter and the fault plan, the slots are built
-//!   from the prototype, workloads are pure functions of `t`, and the
-//!   wander is integrated after the loop, so with an empty fault plan
-//!   every stage edge, round, byte and power input is the same in every
-//!   repetition. The first fault-free run (while no trace sink records)
-//!   ticks and stores its record and trajectory as the scenario's
-//!   `Tape`; every later one adopts the trajectory and prices the tape
-//!   with its own jitter, through the same `integrate`, so it is bit
-//!   for bit the run ticking would give. `OnceLock::get_or_init` makes one
-//!   run the recorder whatever the thread count. Runs that draw faults,
-//!   and traced runs (which must emit the mechanism's events), tick.
+//! * the tick loop records each tick's inputs that no run's draws move
+//!   (`u^e`, NIC and memory activity, stage, window, overlap), and
+//!   `integrate` prices them with the run's jitter. With an empty fault
+//!   plan they and every edge, round and byte are the same in every run of
+//!   a prototype, so its first fault-free, untraced run stores them as a
+//!   `Tape` (one recorder at any thread count), and later ones adopt and
+//!   price it instead of ticking — bit-identical.
 //!
 //! ## Known, documented approximations (all bounded or zero-mean)
 //!
@@ -78,14 +68,12 @@
 //! engine's only through the ripple recurrence above, which can move the
 //! coupled bandwidth, bytes and round boundaries in the last bits.
 
-use crate::engine::{
-    Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, TickSums, Trajectory, HORIZON,
-};
+use crate::engine::{Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, TickSums, HORIZON};
 use crate::record::MigrationRecord;
 use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
 use wavm3_cluster::{CpuAccounting, PowerProfile};
 use wavm3_obs::TermEnergy;
-use wavm3_power::{EnergyBreakdown, OuIntegrator, PowerInputs, PowerTerms, TermIntegral};
+use wavm3_power::{EnergyBreakdown, OuIntegrator, PowerTerms, TermIntegral};
 use wavm3_simkit::{CounterRng, RngFactory, SimDuration, SimTime};
 
 /// Memo + second-order Taylor cache for `u^e` (the CPU power curve).
@@ -146,101 +134,88 @@ impl PowCache {
     }
 }
 
-/// One host's power inputs over one tick that no run's draws can move:
-/// `f = u^e` (the [`PowCache::eval`] output), the clamped NIC and memory
-/// activity, and the stage's service power before jitter.
+/// One host's tick inputs that no run's draws can move: `f = u^e` (from
+/// [`PowCache::eval`]) and the clamped NIC and memory activity.
 #[derive(Clone, Copy)]
 struct HostTick {
     f: f64,
     nic: f64,
     mem: f64,
-    svc: f64,
 }
 
 impl HostTick {
-    /// Clamp `inputs` like `PowerInputs::clamped`, with `u^e` served from
-    /// the cache; `inputs.service_w` is the stage's unjittered service
-    /// power.
+    /// The tick's terms on a run's jittered `profile` and service power:
+    /// the arithmetic (and rounding order) of `ground_truth_terms`.
     #[inline]
-    fn new(inputs: PowerInputs, pow: &mut PowCache) -> Self {
-        let i = inputs.clamped();
-        HostTick {
-            f: pow.eval(i.cpu_utilisation),
-            nic: i.nic_utilisation,
-            mem: i.mem_activity,
-            svc: inputs.service_w,
-        }
-    }
-
-    /// The tick's ground-truth terms on a run's jittered `profile` and
-    /// service factor: the arithmetic (and rounding order) of
-    /// `ground_truth_terms`, with the jittered service power clamped
-    /// there.
-    #[inline]
-    fn terms(&self, profile: &PowerProfile, service_factor: f64) -> PowerTerms {
+    fn terms(&self, profile: &PowerProfile, service_w: f64) -> PowerTerms {
         let cpu_power = profile.idle_w + profile.cpu_dynamic_w * self.f;
         PowerTerms {
             idle_w: profile.idle_w,
             cpu_w: cpu_power - profile.idle_w,
             mem_dirty_w: profile.mem_contention_w * self.mem,
             network_w: profile.nic_w_at_line_rate * self.nic,
-            service_w: (self.svc * service_factor).max(0.0),
+            service_w: service_w.max(0.0),
         }
-    }
-
-    fn bits(&self) -> [u64; 4] {
-        [self.f, self.nic, self.mem, self.svc].map(f64::to_bits)
     }
 }
 
-/// One entry of a tick record: `n` consecutive accumulations of the same
-/// inputs over `secs` seconds into phase window `w`. A run has at most
-/// `HORIZON / 1 µs` < 2³² ticks, so `n` cannot overflow.
+/// A tick record entry: `n` (< 2³², as a run has < `HORIZON / 1 µs` ticks)
+/// consecutive ticks of the same inputs, each over `secs` in window `w`.
 #[derive(Clone, Copy)]
 pub(crate) struct Step {
     w: u32,
     n: u32,
+    stage: Stage,
     secs: f64,
     src: HostTick,
     dst: HostTick,
 }
 
-/// Append `n` accumulations to `steps`, merged into the last entry when
-/// its window, duration and inputs are the same bit for bit — the same
-/// sequence of operations, so pricing stays bit-identical.
+impl Step {
+    /// Everything but `n`, bit for bit.
+    fn key(&self) -> (u32, Stage, [u64; 7]) {
+        let (a, b) = (self.src, self.dst);
+        let x = [self.secs, a.f, a.nic, a.mem, b.f, b.nic, b.mem];
+        (self.w, self.stage, x.map(f64::to_bits))
+    }
+}
+
+/// Append `n` ticks, merged into the last entry when their keys match: the
+/// same sequence of operations, so pricing stays identical.
 #[inline]
-fn book(steps: &mut Vec<Step>, w: usize, secs: f64, n: u64, src: HostTick, dst: HostTick) {
+fn book(
+    steps: &mut Vec<Step>,
+    w: u32,
+    n: u64,
+    stage: Stage,
+    secs: f64,
+    src: HostTick,
+    dst: HostTick,
+) {
+    let n = n as u32;
     let step = Step {
-        w: w as u32,
-        n: n as u32,
+        w,
+        n,
+        stage,
         secs,
         src,
         dst,
     };
     match steps.last_mut() {
-        Some(last)
-            if last.w == step.w
-                && last.secs.to_bits() == secs.to_bits()
-                && last.src.bits() == src.bits()
-                && last.dst.bits() == dst.bits() =>
-        {
-            last.n += step.n;
-        }
+        Some(last) if last.key() == step.key() => last.n += step.n,
         _ => steps.push(step),
     }
 }
 
-/// Per-window integrals `[initiation, transfer, tail]` of each host.
-type Integrals = [[TermIntegral; 3]; 2];
-
-/// Price `steps` with `mech`'s jittered profiles and service factors: the
-/// only place a tick's power is built and integrated, for ticked and
-/// replayed runs alike.
-fn integrate(steps: &[Step], mech: &Mechanism) -> Integrals {
+/// Price `steps` with `mech`'s jittered profiles and service power into
+/// each host's `[initiation, transfer, tail]` integrals: the only place a
+/// tick's power is built and integrated, for ticked and replayed runs.
+fn integrate(steps: &[Step], mech: &Mechanism) -> [[TermIntegral; 3]; 2] {
     let [mut src, mut dst] = [[TermIntegral::default(); 3]; 2];
     for s in steps {
-        let src_terms = s.src.terms(&mech.src_power, mech.src_service_factor);
-        let dst_terms = s.dst.terms(&mech.dst_power, mech.dst_service_factor);
+        let (svc_src, svc_dst) = mech.service_power(s.stage);
+        let src_terms = s.src.terms(&mech.src_power, svc_src);
+        let dst_terms = s.dst.terms(&mech.dst_power, svc_dst);
         let (src_w, dst_w) = (&mut src[s.w as usize], &mut dst[s.w as usize]);
         for _ in 0..s.n {
             src_w.accumulate(&src_terms, s.secs);
@@ -250,11 +225,11 @@ fn integrate(steps: &[Step], mech: &Mechanism) -> Integrals {
     [src, dst]
 }
 
-/// A prototype's fault-free run, recorded once: its tick record, where
-/// its mechanism ended, and how many ticks it took.
+/// A prototype's fault-free run, recorded once: its tick record, its
+/// mechanism at the end, and how many ticks it took.
 pub(crate) struct Tape {
     steps: Box<[Step]>,
-    trajectory: Trajectory,
+    end: Mechanism,
     ticks: u64,
 }
 
@@ -332,46 +307,32 @@ impl MigrationSimulation {
     /// per-run RNG root, recycling all transient buffers through `arena`,
     /// whatever the configured path and trace state ([`Self::run_reusing`]
     /// applies the trace fallback). See the module docs for the contract
-    /// with the sampled reference engine.
-    ///
-    /// A run whose fault plan is empty, while no trace sink records, goes
-    /// through the scenario's tape: the first such run ticks and records
-    /// it, every later one replays it with its own jitter and wander, bit
-    /// for bit what ticking would give. A replayed run emits no mechanism
-    /// events; a traced run always ticks.
+    /// with the sampled reference engine. A fault-free run replays the
+    /// scenario's tape, so it emits no mechanism events; a traced run
+    /// always ticks.
     pub fn run_analytic_reusing(&self, rng: RngFactory, arena: &mut RunSlot) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.analytic");
         let mut mech = Mechanism::new(self, &rng, arena);
         let ledger_on = wavm3_obs::ledger_active();
-        let mut steps = std::mem::take(&mut arena.steps);
 
         // `get_or_init` lets exactly one run record, whatever the thread
         // count; the others wait for it and replay.
-        let mut ticked = None;
-        let tape = if mech.fault_plan.is_empty() && !wavm3_obs::tracing_active() {
-            Some(self.tape.get_or_init(|| {
-                let (ints, ticks) = self.tick(&mut mech, &mut steps, arena);
+        let [int_src, int_dst] = if mech.fault_plan.is_empty() && !wavm3_obs::tracing_active() {
+            let mut ticked = None;
+            let tape = self.tape.get_or_init(|| {
+                let (ints, ticks) = self.tick(&mut mech, arena);
                 ticked = Some(ints);
-                Tape {
-                    steps: steps.as_slice().into(),
-                    trajectory: mech.trajectory(),
-                    ticks,
-                }
-            }))
-        } else {
-            ticked = Some(self.tick(&mut mech, &mut steps, arena).0);
-            None
-        };
-        arena.steps = steps;
-        let [int_src, int_dst] = match (ticked, tape) {
-            (Some(ints), _) => ints,
-            (None, tape) => {
-                let tape = tape.expect("a run that did not tick has a tape");
+                let (steps, end) = (arena.steps.as_slice().into(), mech.clone());
+                Tape { steps, end, ticks }
+            });
+            ticked.unwrap_or_else(|| {
                 let _perf_ticks = wavm3_obs::perf::scope("analytic.tick_loop");
                 wavm3_obs::perf::counter_add("analytic.tick_cache.replayed", tape.ticks);
-                mech.adopt(&tape.trajectory);
+                mech.adopt(&tape.end);
                 integrate(&tape.steps, &mech)
-            }
+            })
+        } else {
+            self.tick(&mut mech, arena).0
         };
         let _perf_finalise = wavm3_obs::perf::scope("analytic.finalise");
 
@@ -440,14 +401,8 @@ impl MigrationSimulation {
     }
 
     /// Tick `mech` through `[ms, me]`, recording each tick's power inputs
-    /// into `steps`, and price them; returns the per-window integrals and
-    /// the number of ticks.
-    fn tick(
-        &self,
-        mech: &mut Mechanism,
-        steps: &mut Vec<Step>,
-        arena: &mut RunSlot,
-    ) -> (Integrals, u64) {
+    /// in `arena`, and price them; returns the integrals and tick count.
+    fn tick(&self, mech: &mut Mechanism, arena: &mut RunSlot) -> ([[TermIntegral; 3]; 2], u64) {
         let cfg = mech.cfg;
         let link = self.cluster.link;
         let ms = mech.ms;
@@ -465,6 +420,7 @@ impl MigrationSimulation {
 
         let mut pow_src = PowCache::new(mech.src_power.cpu_exponent);
         let mut pow_dst = PowCache::new(mech.dst_power.cpu_exponent);
+        let steps = &mut arena.steps;
         steps.clear();
 
         // --- Tick-invariant prelude cache. ---------------------------------
@@ -581,9 +537,9 @@ impl MigrationSimulation {
                 cache_dirty = true;
             }
 
-            // --- Ground-truth power inputs for both hosts at this instant. ---
+            // --- Ground-truth power inputs for both hosts at this instant,
+            // clamped like `PowerInputs::clamped`. ---
             let migr_nic = link.line_utilisation(current_bw);
-            let (svc_src, svc_dst) = mech.service_base();
             // The memory-activity term reads the post-sub-loop placement; when
             // the sub-loop suspended or relocated the migrant, re-fold the
             // write rates.
@@ -595,26 +551,18 @@ impl MigrationSimulation {
                     hosts.dst.write_rate_sum(0.0, now),
                 )
             };
-            let mut src = HostTick::new(
-                PowerInputs {
-                    cpu_utilisation: p.src_alloc.utilisation(),
-                    nic_utilisation: (migr_nic + p.src.bg()).min(1.0),
-                    mem_activity: (src_wr / PEAK_PAGE_WRITE_RATE).min(1.0),
-                    service_w: svc_src,
-                },
-                &mut pow_src,
-            );
-            let mut dst = HostTick::new(
-                PowerInputs {
-                    cpu_utilisation: p.dst_alloc.utilisation(),
-                    nic_utilisation: (migr_nic + p.dst.bg()).min(1.0),
-                    mem_activity: ((mech.state_load_rate(current_bw) + dst_wr)
-                        / PEAK_PAGE_WRITE_RATE)
-                        .min(1.0),
-                    service_w: svc_dst,
-                },
-                &mut pow_dst,
-            );
+            let mut src = HostTick {
+                f: pow_src.eval(p.src_alloc.utilisation().clamp(0.0, 1.0)),
+                nic: (migr_nic + p.src.bg()).min(1.0).clamp(0.0, 1.0),
+                mem: (src_wr / PEAK_PAGE_WRITE_RATE).min(1.0).clamp(0.0, 1.0),
+            };
+            let dst_load = mech.state_load_rate(current_bw) + dst_wr;
+            let mut dst = HostTick {
+                f: pow_dst.eval(p.dst_alloc.utilisation().clamp(0.0, 1.0)),
+                nic: (migr_nic + p.dst.bg()).min(1.0).clamp(0.0, 1.0),
+                mem: (dst_load / PEAK_PAGE_WRITE_RATE).min(1.0).clamp(0.0, 1.0),
+            };
+            let stage = mech.stage;
 
             // --- Exact window attribution of this tick's constant power. ---
             // Window `w` is `[edges[w], edges[w + 1])`; an edge not yet known
@@ -629,7 +577,7 @@ impl MigrationSimulation {
             for w in 0..3 {
                 let o = overlap_us(a, a + dt_us, edges[w], edges[w + 1]);
                 if o > 0 {
-                    book(steps, w, o as f64 / 1e6, 1, src, dst);
+                    book(steps, w as u32, 1, stage, o as f64 / 1e6, src, dst);
                 }
             }
 
@@ -664,16 +612,17 @@ impl MigrationSimulation {
                     }
                 }
                 // ... and lies inside the phase window it is attributed to.
-                let w = match mech.stage {
+                let w: u32 = match mech.stage {
                     Stage::Initiation => 0,
                     Stage::Transfer => 1,
                     _ => 2,
                 };
-                let n = if now_us < edges[w] {
+                let (lo, hi) = (edges[w as usize], edges[w as usize + 1]);
+                let n = if now_us < lo {
                     0
                 } else {
                     (start_lim.saturating_sub(now_us).div_ceil(dt_us))
-                        .min(edges[w + 1].saturating_sub(now_us) / dt_us)
+                        .min(hi.saturating_sub(now_us) / dt_us)
                 };
                 let secs = dt_us as f64 / 1e6;
                 // A constant run's inputs are frozen: its span is one record
@@ -681,7 +630,7 @@ impl MigrationSimulation {
                 let k = if fast_ok {
                     let k = replay(mech, &cache, dt_s, n, |_| {});
                     if k > 0 {
-                        book(steps, w, secs, k, src, dst);
+                        book(steps, w, k, stage, secs, src, dst);
                     }
                     k
                 } else {
@@ -701,7 +650,7 @@ impl MigrationSimulation {
                             debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
                             dst.f = pow_dst.eval(a.utilisation());
                         }
-                        book(steps, w, secs, 1, src, dst);
+                        book(steps, w, 1, stage, secs, src, dst);
                     })
                 };
                 now += SimDuration::from_micros(k * dt_us);

@@ -142,20 +142,16 @@ pub struct TimingConfig {
 }
 
 impl TimingConfig {
-    /// The earliest start of the last tick a run can need when its transfer
-    /// takes at least `transfer`. The sampled engine ticks from 0, starts
-    /// the transfer on the first tick at or after `pre_run + initiation`,
-    /// and, if its meters never settle, stops on the first tick at or after
-    /// `me + post_run_max`, `me` lying `activation` past the transfer's
-    /// end; the analytic engine stops on the first tick at or after `me`.
+    /// The earliest start of the last tick a run whose transfer takes at
+    /// least `transfer` may need: the sampled engine starts the transfer on
+    /// the first tick at or after `pre_run + initiation` and, if its meters
+    /// never settle, stops on the first tick at or after `me +
+    /// post_run_max` (the analytic engine stops sooner, at `me`).
     pub(crate) fn last_tick_bound(&self, transfer: SimDuration) -> SimTime {
         let dt = self.tick.as_micros();
         let on_tick = |t: u64| t.div_ceil(dt).saturating_mul(dt);
-        let ts = on_tick(
-            self.pre_run
-                .as_micros()
-                .saturating_add(self.initiation.as_micros()),
-        );
+        let (pre_run, initiation) = (self.pre_run.as_micros(), self.initiation.as_micros());
+        let ts = on_tick(pre_run.saturating_add(initiation));
         let end = [transfer, self.activation, self.post_run_max]
             .iter()
             .fold(ts, |t, d| t.saturating_add(d.as_micros()));
@@ -374,13 +370,9 @@ impl MigrationConfig {
     /// the engine mid-campaign.
     ///
     /// Both engines assert at the top of every tick that it starts before
-    /// the 3,600 s simulation horizon, so a tick and timing envelope whose
-    /// last tick cannot start before it is rejected too: even with an
-    /// instant transfer, the run needs a tick at or after the first tick
-    /// boundary past `pre_run + initiation`, plus `activation` and the
-    /// tail's cap `post_run_max`, rounded up to a tick boundary.
-    /// [`MigrationSimulation::try_new`](crate::MigrationSimulation::try_new)
-    /// adds the migrant's image at the rate cap to that bound.
+    /// the 3,600 s horizon, so a tick and timing envelope that needs a later
+    /// tick even with an instant transfer is rejected too (`try_new` adds
+    /// the migrant's image at the rate cap).
     pub fn validate(&self) -> Result<(), Wavm3Error> {
         self.precopy.validate()?;
         for (field, w) in [
@@ -430,13 +422,8 @@ impl MigrationConfig {
         )?;
         let last_tick = self.timing.last_tick_bound(SimDuration::ZERO);
         if last_tick >= HORIZON {
-            return Err(Wavm3Error::invalid_config(
-                "timing",
-                format!(
-                    "the run's last tick starts at {last_tick} or later, past the \
-                     {HORIZON} simulation horizon"
-                ),
-            ));
+            let why = format!("needs a tick at {last_tick}, past the {HORIZON} horizon");
+            return Err(Wavm3Error::invalid_config("timing", why));
         }
         self.env_noise.validate()?;
         self.faults.validate()

@@ -138,14 +138,15 @@ pub(crate) struct Moves {
 }
 
 /// The migration's state and every decision both engines share.
+#[derive(Clone)]
 pub(crate) struct Mechanism {
     pub(crate) cfg: MigrationConfig,
     link: Link,
     /// Endpoint power profiles with this run's jitter applied.
     pub(crate) src_power: PowerProfile,
     pub(crate) dst_power: PowerProfile,
-    pub(crate) src_service_factor: f64,
-    pub(crate) dst_service_factor: f64,
+    src_service_factor: f64,
+    dst_service_factor: f64,
     pub(crate) src_name: String,
     pub(crate) dst_name: String,
     machine_set: MachineSet,
@@ -177,18 +178,6 @@ pub(crate) struct Mechanism {
     /// Memo of the last dirty-saturation `(argument, exp)`: the argument
     /// repeats for every full-length sub-step of a round.
     dirty_exp: (f64, f64),
-}
-
-/// Where a run's mechanism ends up when its fault plan is empty: a pure
-/// function of the scenario, the same in every repetition of a prototype
-/// whatever the run's jitter (see the `analytic.rs` module docs).
-pub(crate) struct Trajectory {
-    ts: SimTime,
-    te: Option<SimTime>,
-    rounds: Vec<RoundStats>,
-    total_bytes: f64,
-    suspend_time: Option<SimTime>,
-    resume_time: Option<SimTime>,
 }
 
 impl Mechanism {
@@ -621,23 +610,17 @@ impl Mechanism {
         self.te.map(|te| te + self.cfg.timing.activation)
     }
 
-    /// Per-stage service power of the migration machinery on source and
-    /// target, watts, before this run's jitter.
+    /// Service power of the migration machinery in `stage` on source and
+    /// target, watts, with this run's jitter.
     #[inline]
-    pub(crate) fn service_base(&self) -> (f64, f64) {
+    pub(crate) fn service_power(&self, stage: Stage) -> (f64, f64) {
         let svc = self.cfg.service;
-        match self.stage {
+        let (src, dst) = match stage {
             Stage::Initiation => (svc.init_source_w, svc.init_target_w),
             Stage::Transfer => (svc.transfer_source_w, svc.transfer_target_w),
             Stage::Activation => (svc.activation_source_w, svc.activation_target_w),
             _ => (0.0, 0.0),
-        }
-    }
-
-    /// [`Self::service_base`] with this run's jitter.
-    #[inline]
-    pub(crate) fn service_power(&self) -> (f64, f64) {
-        let (src, dst) = self.service_base();
+        };
         (src * self.src_service_factor, dst * self.dst_service_factor)
     }
 
@@ -760,22 +743,10 @@ impl Mechanism {
         }
     }
 
-    /// This run's trajectory, for later fault-free repetitions to adopt.
-    pub(crate) fn trajectory(&self) -> Trajectory {
-        Trajectory {
-            ts: self.ts,
-            te: self.te,
-            rounds: self.rounds.clone(),
-            total_bytes: self.total_bytes,
-            suspend_time: self.suspend_time,
-            resume_time: self.resume_time,
-        }
-    }
-
-    /// End where a fault-free run of the same prototype ended, instead of
-    /// ticking there: everything [`Self::phases`] and [`Self::finish`]
-    /// read. The rounds land in this run's recycled buffer.
-    pub(crate) fn adopt(&mut self, t: &Trajectory) {
+    /// End where `t`, a fault-free run of the same prototype, ended instead
+    /// of ticking there: its trajectory is the same whatever the run's
+    /// jitter. Adopts all that [`Self::phases`] and [`Self::finish`] read.
+    pub(crate) fn adopt(&mut self, t: &Mechanism) {
         self.ts = t.ts;
         self.te = t.te;
         self.rounds.extend_from_slice(&t.rounds);
@@ -818,8 +789,7 @@ impl Mechanism {
 /// slot vectors, round-statistics buffer, fault-window bitmap and the
 /// analytic engine's tick record keep their capacity between runs, so the
 /// analytic engine's steady-state tick loop performs no heap allocation at
-/// all. (A scenario's first fault-free analytic run copies its record into
-/// the scenario once, after the loop.) A default (empty) slot behaves
+/// all. A default (empty) slot behaves
 /// identically to the one-shot path — results are a pure function of the
 /// scenario and RNG, never of what the buffers held before.
 #[derive(Default)]

@@ -131,13 +131,9 @@ impl TermTraces {
     }
 }
 
-/// A fully configured migration scenario, ready to run.
-///
-/// Besides the scenario it carries one cache of a pure function of
-/// itself: the analytic engine's record of its fault-free trajectory, made
-/// by the first fault-free analytic run and replayed by every later one
-/// (see the `analytic.rs` module docs). It lives and dies with the
-/// scenario; nothing is shared between scenarios.
+/// A fully configured migration scenario, ready to run. It also caches a
+/// pure function of itself, which lives and dies with it: the tape of its
+/// first fault-free analytic run, which later ones replay.
 pub struct MigrationSimulation {
     pub(crate) cluster: Cluster,
     pub(crate) workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -173,10 +169,9 @@ impl MigrationSimulation {
     }
 
     /// Fallible assembly: validates the configuration (NaN, negative
-    /// bandwidth, inverted intervals, ...), the placement preconditions,
-    /// and that the migrant's image can cross at the rate cap before the
-    /// simulation horizon, returning a taxonomy error instead of
-    /// panicking.
+    /// bandwidth, inverted intervals, ...), the placement preconditions and
+    /// the migrant's crossing at the rate cap before the simulation
+    /// horizon, returning a taxonomy error instead of panicking.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -210,18 +205,12 @@ impl MigrationSimulation {
         }
         if let Some(cap) = config.precopy.rate_limit_bps {
             // The engine never streams faster than `cap.max(1.0)`.
-            let image = vm.memory.total_bytes();
-            let transfer = SimDuration::from_secs_f64(image as f64 / cap.max(1.0));
-            let last_tick = config.timing.last_tick_bound(transfer);
+            let crossing =
+                SimDuration::from_secs_f64(vm.memory.total_bytes() as f64 / cap.max(1.0));
+            let last_tick = config.timing.last_tick_bound(crossing);
             if last_tick >= HORIZON {
-                return Err(Wavm3Error::invalid_config(
-                    "precopy.rate_limit_bps",
-                    format!(
-                        "at {cap} B/s the migrant's {image}-byte image keeps the run \
-                         ticking until {last_tick} or later, past the {HORIZON} \
-                         simulation horizon"
-                    ),
-                ));
+                let why = format!("the image needs a tick at {last_tick}, past {HORIZON}");
+                return Err(Wavm3Error::invalid_config("precopy.rate_limit_bps", why));
             }
         }
         Ok(MigrationSimulation {
@@ -246,10 +235,8 @@ impl MigrationSimulation {
     /// Run the scenario on the configured [`SimulationPath`] with the
     /// caller's per-run RNG root, recycling all transient buffers through
     /// `slot`. No engine mutates the scenario, so one prototype serves
-    /// every repetition, bit-identical to a fresh build per run. On the
-    /// analytic path the prototype's first fault-free run records its
-    /// trajectory and every later one replays it
-    /// ([`Self::run_analytic_reusing`]), still bit-identical.
+    /// every repetition, bit-identical to a fresh build per run (on the
+    /// analytic path, later fault-free runs replay the first one's tape).
     ///
     /// The analytic path materialises no per-sample rows, so while a
     /// trace sink is recording (and needs every meter sample) the run
@@ -340,7 +327,7 @@ impl MigrationSimulation {
             // transfer step and, on the target, starts from the incoming
             // state's writes; otherwise the prelude's folds are the sums.
             let migr_nic = self.cluster.link.line_utilisation(current_bw);
-            let (svc_src, svc_dst) = mech.service_power();
+            let (svc_src, svc_dst) = mech.service_power(mech.stage);
             let mem_activity = |rate: f64| (rate / PEAK_PAGE_WRITE_RATE).min(1.0);
             let loading = mech.state_load_rate(current_bw);
             let src_wr = if moved {
