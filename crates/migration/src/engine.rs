@@ -789,9 +789,9 @@ impl Mechanism {
 /// slot vectors, round-statistics buffer, fault-window bitmap and the
 /// analytic engine's tick record keep their capacity between runs, so the
 /// analytic engine's steady-state tick loop performs no heap allocation at
-/// all. A default (empty) slot behaves
-/// identically to the one-shot path — results are a pure function of the
-/// scenario and RNG, never of what the buffers held before.
+/// all. A default (empty) slot behaves identically to the one-shot path —
+/// results are a pure function of the scenario and RNG, never of what the
+/// buffers held before.
 #[derive(Default)]
 pub struct RunSlot {
     src_slots: Vec<Slot>,

@@ -20,6 +20,11 @@
 //! any behavioural drift in the fast path is caught to the last bit
 //! that survives cross-libm variation.
 //!
+//! Those goldens run each config once, on a fresh scenario, so every run
+//! ticks. `replayed_runs_equal_ticked_runs_bit_for_bit` re-runs one
+//! scenario per config, whose fault-free runs after the first replay its
+//! tick record, and holds each run to a freshly ticked one bit for bit.
+//!
 //! Regenerate after an intentional engine change with:
 //!
 //! ```text
