@@ -36,11 +36,12 @@
 //!   power terms accumulated per tick — with the same float operations in
 //!   the same order, so results are bit-identical to ticking. In transfer
 //!   a span also needs the bandwidth frozen: no rippling endpoint may be
-//!   able to saturate (`HostState::grant_frozen`, decided at the full
-//!   tick), or its grant `scale` would move the bandwidth every tick.
-//!   Post-copy transfer never spans: its demand ramp moves each tick. A
-//!   tick outside a span takes the full prelude, or the semi-cached one
-//!   while spans must wait;
+//!   able to saturate (`HostState::grant_frozen`, decided at the tick
+//!   before the span), or its grant `scale` would move the bandwidth every
+//!   tick. Post-copy transfer never spans: its demand ramp moves each tick.
+//!   So the loop takes two kinds of step: a tick, which runs the full
+//!   prelude (`Hosts::prelude`), and a span, which replays from the
+//!   prelude of a tick whose transfer step hit no event;
 //! * the tick loop records each tick's inputs that no run's draws move
 //!   (`u^e`, NIC and memory activity, stage, window, overlap), and
 //!   `integrate` prices them with the run's jitter. With an empty fault
@@ -68,10 +69,10 @@
 //! engine's only through the ripple recurrence above, which can move the
 //! coupled bandwidth, bytes and round boundaries in the last bits.
 
-use crate::engine::{Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, TickSums, HORIZON};
+use crate::engine::{Hosts, Mechanism, Prelude, RunSlot, Slot, Stage, HORIZON};
 use crate::record::MigrationRecord;
 use crate::simulation::{MigrationSimulation, PEAK_PAGE_WRITE_RATE};
-use wavm3_cluster::{CpuAccounting, PowerProfile};
+use wavm3_cluster::PowerProfile;
 use wavm3_obs::TermEnergy;
 use wavm3_power::{EnergyBreakdown, OuIntegrator, PowerTerms, TermIntegral};
 use wavm3_simkit::{CounterRng, RngFactory, SimDuration, SimTime};
@@ -423,46 +424,26 @@ impl MigrationSimulation {
         let steps = &mut arena.steps;
         steps.clear();
 
-        // --- Tick-invariant prelude cache. ---------------------------------
-        // When every workload's line-share / write-rate folds are profile
-        // constants (`semi_ok`), the running counts, those folds, the
-        // migration's CPU and the non-CPU power inputs are invariant between
-        // state-changing events: stage boundaries, suspend / resume /
-        // relocation, post-copy demand ramp, fault-window edges. Only the
-        // demand curves move, and on hosts whose every curve is
-        // `CpuCurve::Constant` (`fast_ok`) not even they. `cache_dirty` marks
-        // those events; a full tick refreshes the cache, and the ticks after
-        // it reuse it — as spans, or as semi-cached ticks where a span may
-        // not run — bit-identical to recomputation because every reused
-        // input is unchanged. Other folds keep `cache_dirty` latched, i.e.
-        // the full per-tick prelude. Both conjunctions range over the union
-        // of slots and are relocation-invariant.
-        let fast_ok = hosts.src.constant && hosts.dst.constant;
-        let semi_ok = hosts
+        // Spans need every workload's line-share and write-rate folds to be
+        // profile constants: then the running counts, those folds and the
+        // migration's CPU move only at events (stage edges, suspend / resume /
+        // relocation, the post-copy ramp, fault-window edges), and between
+        // events only the demand curves do, and on two constant hosts
+        // (`frozen`) not even they. Both conjunctions range over the union
+        // of slots, so they are relocation-invariant.
+        let folds_constant = hosts
             .src
             .slots
             .iter()
             .chain(&hosts.dst.slots)
             .all(Slot::folds_constant);
-        let mut cache_dirty = true;
-        let mut spannable = false;
-        let placeholder = CpuAccounting::default().allocate(1.0);
-        let mut cache = Prelude {
-            migrant_factor: f64::NAN,
-            migrant_wr: 0.0,
-            src: TickSums::default(),
-            dst: TickSums::default(),
-            src_alloc: placeholder,
-            dst_alloc: placeholder,
-            bw: 0.0,
-        };
+        let frozen = hosts.src.constant && hosts.dst.constant;
 
-        // Tick-cache tier tallies (flushed once per run into the profiler so
-        // the hot loop never touches shared state). Ticks stepped inside
-        // spans report as `fast_hit`.
+        // Tick tallies (flushed once per run into the profiler so the hot
+        // loop never touches shared state). Ticks stepped inside spans
+        // report as `fast_hit`.
         let mut ticks_full: u64 = 0;
         let mut ticks_spanned: u64 = 0;
-        let mut ticks_semi: u64 = 0;
         let mut spans: u64 = 0;
 
         let _perf_ticks = wavm3_obs::perf::scope("analytic.tick_loop");
@@ -475,67 +456,15 @@ impl MigrationSimulation {
             // --- Stage edges and the injected abort. ---
             let moves = mech.stage_edges(now);
             hosts.apply_moves(mech, moves);
-            let migrant_factor = mech.migrant_factor();
-            if moves.edge || migrant_factor != cache.migrant_factor {
-                cache_dirty = true;
-            }
 
             // --- Refresh demands, resolve allocations and the bandwidth. ---
-            let p = if cache_dirty {
-                ticks_full += 1;
-                cache = hosts.prelude(mech, now);
-                cache_dirty = !semi_ok;
-                // Whether spans may follow, decided here: running counts, stage
-                // and migration cores change only at events, and every event
-                // dirties the cache. Outside transfer the bandwidth is 0
-                // whatever the grants, and a span refreshes every demand as a
-                // ticked step would. In transfer no rippling endpoint may
-                // saturate, or its grant `scale` would move the bandwidth (a
-                // `General` curve has no peak, so its host never spans there).
-                spannable = semi_ok
-                    && mech.stage != Stage::Pre
-                    && !mech.ramping()
-                    && (mech.stage != Stage::Transfer || {
-                        let (migr_src, migr_dst) = mech.migration_cores(cache.migrant_wr);
-                        hosts.src.grant_frozen(migr_src) && hosts.dst.grant_frozen(migr_dst)
-                    });
-                cache
-            } else {
-                // Semi-cached tick, where spans must wait (in practice a
-                // rippling endpoint that can saturate in transfer): advance
-                // the curves, re-fold `vm_cores` and resolve the bandwidth
-                // anew, reusing the folds and counts that cannot have moved
-                // since the last event. A host that is itself fully constant
-                // skips even the refresh — its fold and allocation are frozen
-                // between events.
-                ticks_semi += 1;
-                let mut p = cache;
-                let (migr_src, migr_dst) = mech.migration_cores(p.migrant_wr);
-                if !hosts.src.constant {
-                    let vm_cores = hosts.src.refresh_vm_cores(now, migrant_factor);
-                    p.src_alloc = hosts.src.allocate(p.src.running, vm_cores, migr_src);
-                }
-                if !hosts.dst.constant {
-                    let vm_cores = hosts.dst.refresh_vm_cores(now, migrant_factor);
-                    p.dst_alloc = hosts.dst.allocate(p.dst.running, vm_cores, migr_dst);
-                }
-                p.bw = mech.coupled_bandwidth(
-                    now,
-                    p.src_alloc.scale,
-                    p.dst_alloc.scale,
-                    p.src.bg(),
-                    p.dst.bg(),
-                );
-                p
-            };
+            ticks_full += 1;
+            let p = hosts.prelude(mech, now);
 
             // --- Advance the transfer within this tick (may cross rounds). ---
             let moves = mech.advance_transfer(now, dt_s, p.bw, p.migrant_wr);
             let sums_stale = hosts.apply_moves(mech, moves);
             let current_bw = if moves.edge { 0.0 } else { p.bw };
-            if moves.edge || sums_stale {
-                cache_dirty = true;
-            }
 
             // --- Ground-truth power inputs for both hosts at this instant,
             // clamped like `PowerInputs::clamped`. ---
@@ -584,15 +513,28 @@ impl MigrationSimulation {
             now += dt;
 
             // --- Span stepping (see the module docs). ---
-            // After a full tick that leaves the cache clean, the ticks up to
-            // the next event move only the ripple oscillators and the
-            // transfer state, so they replay only those: on a rippling host
-            // the demand refresh, `vm_cores` fold, Eq. 2 allocation and
-            // `u^e`, then the transfer state and the tick's record — the
-            // loop's own float operations in the same order, which keeps
-            // every result bit-identical (a closed form `terms·n·dt` would
-            // round differently).
-            if spannable && !cache_dirty {
+            // A tick whose transfer step hit no event leaves `p` valid until
+            // the next event: the ticks before it move only the ripple
+            // oscillators and the transfer state, so they replay only those —
+            // on a rippling host the demand refresh, `vm_cores` fold, Eq. 2
+            // allocation and `u^e`, then the transfer state and the tick's
+            // record — with the loop's own float operations in the same
+            // order, which keeps every result bit-identical (a closed form
+            // `terms·n·dt` would round differently). Outside transfer the
+            // bandwidth is 0 whatever the grants. In transfer no rippling
+            // endpoint may saturate, or its grant `scale` would move the
+            // bandwidth (a `General` curve has no peak, so its host never
+            // spans there); the post-copy ramp moves it every tick.
+            let (migr_src, migr_dst) = mech.migration_cores(p.migrant_wr);
+            let in_transfer = mech.stage == Stage::Transfer;
+            let spannable = folds_constant
+                && !moves.edge
+                && !sums_stale
+                && mech.stage != Stage::Pre
+                && !mech.ramping()
+                && (!in_transfer
+                    || hosts.src.grant_frozen(migr_src) && hosts.dst.grant_frozen(migr_dst));
+            if spannable {
                 let now_us = now.as_micros();
                 // A span tick starts before the next event ...
                 let mut start_lim = HORIZON.as_micros();
@@ -602,7 +544,7 @@ impl MigrationSimulation {
                 {
                     start_lim = start_lim.min(t.as_micros());
                 }
-                if mech.stage == Stage::Transfer {
+                if in_transfer {
                     for w in mech.fault_plan.link_windows() {
                         for edge in [w.window.start, w.window.end] {
                             if edge.as_micros() + dt_us > now_us {
@@ -625,28 +567,27 @@ impl MigrationSimulation {
                         .min(hi.saturating_sub(now_us) / dt_us)
                 };
                 let secs = dt_us as f64 / 1e6;
-                // A constant run's inputs are frozen: its span is one record
-                // entry, and its replay loop stays free of the ripple work.
-                let k = if fast_ok {
-                    let k = replay(mech, &cache, dt_s, n, |_| {});
+                // Two constant hosts freeze every input: the span is one
+                // record entry, and its ticks replay only the transfer.
+                let k = if frozen {
+                    let k = replay(mech, &p, dt_s, n, |_| {});
                     if k > 0 {
                         book(steps, w, k, stage, secs, src, dst);
                     }
                     k
                 } else {
-                    let in_transfer = mech.stage == Stage::Transfer;
-                    let (migr_src, migr_dst) = mech.migration_cores(cache.migrant_wr);
-                    replay(mech, &cache, dt_s, n, |k| {
+                    let factor = mech.migrant_factor();
+                    replay(mech, &p, dt_s, n, |k| {
                         let t = now + SimDuration::from_micros(k * dt_us);
                         if !hosts.src.constant {
-                            let vm_cores = hosts.src.refresh_vm_cores(t, cache.migrant_factor);
-                            let a = hosts.src.allocate(cache.src.running, vm_cores, migr_src);
+                            let vm_cores = hosts.src.refresh_demands(t, factor, |_| {});
+                            let a = hosts.src.allocate(p.src.running, vm_cores, migr_src);
                             debug_assert!(!in_transfer || a.scale == 1.0, "source saturated");
                             src.f = pow_src.eval(a.utilisation());
                         }
                         if !hosts.dst.constant {
-                            let vm_cores = hosts.dst.refresh_vm_cores(t, cache.migrant_factor);
-                            let a = hosts.dst.allocate(cache.dst.running, vm_cores, migr_dst);
+                            let vm_cores = hosts.dst.refresh_demands(t, factor, |_| {});
+                            let a = hosts.dst.allocate(p.dst.running, vm_cores, migr_dst);
                             debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
                             dst.f = pow_dst.eval(a.utilisation());
                         }
@@ -656,17 +597,14 @@ impl MigrationSimulation {
                 now += SimDuration::from_micros(k * dt_us);
                 ticks_spanned += k;
                 spans += u64::from(k > 0);
-                // Whatever ends the span takes the full prelude.
-                cache_dirty = true;
             }
         }
         let ints = integrate(steps, mech);
         drop(_perf_ticks);
         wavm3_obs::perf::counter_add("analytic.tick_cache.full", ticks_full);
         wavm3_obs::perf::counter_add("analytic.tick_cache.fast_hit", ticks_spanned);
-        wavm3_obs::perf::counter_add("analytic.tick_cache.semi_hit", ticks_semi);
         wavm3_obs::perf::counter_add("analytic.tick_cache.spans", spans);
         arena.recycle_hosts(hosts);
-        (ints, ticks_full + ticks_spanned + ticks_semi)
+        (ints, ticks_full + ticks_spanned)
     }
 }

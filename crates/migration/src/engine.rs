@@ -936,11 +936,10 @@ impl TickSums {
 }
 
 /// What a tick resolves before its transfer step: demands, allocations and
-/// the coupled bandwidth. The analytic engine's last full tick's copy is
-/// the cache that semi-cached ticks and spans reuse.
+/// the coupled bandwidth. An analytic span replays from its preceding
+/// tick's copy.
 #[derive(Clone, Copy)]
 pub(crate) struct Prelude {
-    pub(crate) migrant_factor: f64,
     /// The migrant's page-write rate.
     pub(crate) migrant_wr: f64,
     pub(crate) src: TickSums,
@@ -1029,47 +1028,47 @@ impl HostState {
     }
 
     /// Refresh every workload's CPU demand (advancing each ripple
-    /// oscillator by one tick) and fold the sums this tick needs, all in
-    /// one placement-order pass. `migrant_factor` is the post-copy
-    /// degraded-demand multiplier, applied to the migrant slot only
-    /// (pass 1.0 otherwise — an exact no-op).
+    /// oscillator by one tick) and fold the running guests' demand in
+    /// placement order from 0.0: `Host::cpu_accounting`'s `vm_cores`, whose
+    /// 0.0 for a suspended guest cannot move a sum that starts at +0.0.
+    /// `running` sees each running slot once its demand is folded.
+    /// `migrant_factor` is the post-copy degraded-demand multiplier,
+    /// applied to the migrant slot only (pass 1.0 otherwise — an exact
+    /// no-op).
     ///
-    /// Suspension flags must be synced *before* the call: the folds read
+    /// Suspension flags must be synced *before* the call: the fold reads
     /// them, exactly like `Vm::cpu_demand` gating on the Running state.
     #[inline]
-    fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
-        let mut sums = TickSums::default();
-        for slot in &mut self.slots {
-            slot.refresh_demand(now, migrant_factor);
-            if slot.running {
-                sums.running += 1;
-                sums.vm_cores += slot.demand;
-                if slot.wl.is_some() {
-                    sums.line_share += slot.line_share_at(now);
-                    sums.write_rate += slot.write_rate_at(now);
-                }
-            } else {
-                sums.vm_cores += 0.0;
-            }
-        }
-        sums
-    }
-
-    /// Advance every demand curve and fold running `vm_cores` only — the
-    /// per-tick work of a host whose line-share / write-rate folds are
-    /// profile constants (cached between events). The demand updates and
-    /// the fold order are exactly [`HostState::refresh_tick`]'s, so the
-    /// result is bit-identical to the full pass.
-    #[inline]
-    pub(crate) fn refresh_vm_cores(&mut self, now: SimTime, migrant_factor: f64) -> f64 {
+    pub(crate) fn refresh_demands(
+        &mut self,
+        now: SimTime,
+        migrant_factor: f64,
+        mut running: impl FnMut(&Slot),
+    ) -> f64 {
         let mut vm_cores = 0.0;
         for slot in &mut self.slots {
             slot.refresh_demand(now, migrant_factor);
             if slot.running {
                 vm_cores += slot.demand;
+                running(slot);
             }
         }
         vm_cores
+    }
+
+    /// Every sum a tick needs, in the one pass of
+    /// [`Self::refresh_demands`].
+    #[inline]
+    fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
+        let mut sums = TickSums::default();
+        sums.vm_cores = self.refresh_demands(now, migrant_factor, |slot| {
+            sums.running += 1;
+            if slot.wl.is_some() {
+                sums.line_share += slot.line_share_at(now);
+                sums.write_rate += slot.write_rate_at(now);
+            }
+        });
+        sums
     }
 
     /// `start` plus the placement-order write-rate fold of running guests,
@@ -1213,7 +1212,6 @@ impl Hosts {
         let dst_alloc = self.dst.allocate(dst.running, dst.vm_cores, migr_dst);
         let bw = mech.coupled_bandwidth(now, src_alloc.scale, dst_alloc.scale, src.bg(), dst.bg());
         Prelude {
-            migrant_factor,
             migrant_wr,
             src,
             dst,

@@ -170,8 +170,9 @@ impl MigrationSimulation {
 
     /// Fallible assembly: validates the configuration (NaN, negative
     /// bandwidth, inverted intervals, ...), the placement preconditions and
-    /// the migrant's crossing at the rate cap before the simulation
-    /// horizon, returning a taxonomy error instead of panicking.
+    /// the migrant's crossing before the simulation horizon at the rate cap
+    /// and through the worst link-fault stall, returning a taxonomy error
+    /// instead of panicking.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -203,14 +204,31 @@ impl MigrationSimulation {
                 "migrant does not fit on the target host",
             ));
         }
-        if let Some(cap) = config.precopy.rate_limit_bps {
-            // The engine never streams faster than `cap.max(1.0)`.
-            let crossing =
-                SimDuration::from_secs_f64(vm.memory.total_bytes() as f64 / cap.max(1.0));
-            let last_tick = config.timing.last_tick_bound(crossing);
-            if last_tick >= HORIZON {
-                let why = format!("the image needs a tick at {last_tick}, past {HORIZON}");
-                return Err(Wavm3Error::invalid_config("precopy.rate_limit_bps", why));
+        // If the image takes `secs` to cross, can its last tick still start
+        // before the horizon? Both checks assume the best rate.
+        let bytes = vm.memory.total_bytes() as f64;
+        let past_horizon = |secs: f64| {
+            let last_tick = config
+                .timing
+                .last_tick_bound(SimDuration::from_secs_f64(secs));
+            (last_tick >= HORIZON)
+                .then(|| format!("the image needs a tick at {last_tick}, past {HORIZON}"))
+        };
+        // The engine never streams faster than `cap.max(1.0)`.
+        let cap = config.precopy.rate_limit_bps.map(|cap| cap.max(1.0));
+        if let Some(why) = cap.and_then(|cap| past_horizon(bytes / cap)) {
+            return Err(Wavm3Error::invalid_config("precopy.rate_limit_bps", why));
+        }
+        // Link windows can stall the stream: a window of length `d` at
+        // bandwidth factor `f` costs `d·(1 − f)` at most. Without a cap
+        // the best rate is the line's.
+        let link = config.faults.link;
+        if link.mean_windows > 0.0 {
+            let best = cap.unwrap_or(cluster.link.line_rate_bps);
+            let stall =
+                link.max_windows as f64 * link.max_duration.as_secs_f64() * (1.0 - link.min_factor);
+            if let Some(why) = past_horizon(bytes / best + stall) {
+                return Err(Wavm3Error::invalid_config("faults.link", why));
             }
         }
         Ok(MigrationSimulation {
@@ -524,6 +542,7 @@ mod tests {
     use super::*;
     use crate::config::MigrationKind;
     use wavm3_cluster::{hardware, vm_instances, Link, MachineSet};
+    use wavm3_faults::LinkFaultConfig;
     use wavm3_simkit::SimDuration;
     use wavm3_workloads::{IdleWorkload, MatMulWorkload, PageDirtierWorkload};
 
@@ -776,8 +795,9 @@ mod tests {
     /// Configs `validate` used to accept that then ticked past `HORIZON`
     /// and panicked: a 5,000 s tick, a 1,800 s tick (the sampled tail's
     /// tick lands on the horizon), a 4,000 s initiation, a 4,000 s tail,
-    /// and a 1 MB/s cap for the 4 GiB migrant. Each is a config error on
-    /// both paths; at 2 MB/s the image crosses in time and the run ends.
+    /// a 1 MB/s cap for the 4 GiB migrant, and a certain 4,000 s link
+    /// outage at 13 s. Each is a config error on both paths; at 2 MB/s the
+    /// image crosses in time and the run ends.
     #[test]
     fn configs_that_cannot_fit_the_horizon_are_config_errors() {
         type Edit = fn(&mut MigrationConfig);
@@ -805,7 +825,7 @@ mod tests {
         const fn secs(s: u64) -> SimDuration {
             SimDuration::from_secs(s)
         }
-        let probes: [(&str, Edit); 5] = [
+        let probes: [(&str, Edit); 6] = [
             ("timing", |c| c.timing.tick = secs(5_000)),
             ("timing", |c| c.timing.tick = secs(1_800)),
             ("timing", |c| c.timing.initiation = secs(4_000)),
@@ -815,6 +835,18 @@ mod tests {
             }),
             ("precopy.rate_limit_bps", |c| {
                 c.precopy.rate_limit_bps = Some(1.0e6)
+            }),
+            ("faults.link", |c| {
+                c.faults.link = LinkFaultConfig {
+                    mean_windows: 1.0,
+                    max_windows: 1,
+                    min_duration: secs(4_000),
+                    max_duration: secs(4_000),
+                    min_factor: 0.0,
+                    max_factor: 0.0,
+                    earliest: SimTime::from_secs(13),
+                    latest: SimTime::from_secs(13),
+                }
             }),
         ];
         for path in [SimulationPath::Analytic, SimulationPath::Sampled] {

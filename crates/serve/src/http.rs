@@ -214,6 +214,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",

@@ -42,7 +42,7 @@ use crate::config::ServeConfig;
 use crate::http::{read_request, Request, Response};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::telemetry::{route_label, Telemetry};
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,6 +67,38 @@ const SHED_DRAIN_TIMEOUT: Duration = Duration::from_millis(500);
 struct Job {
     stream: TcpStream,
     accepted_at: Instant,
+}
+
+/// Reads a connection within a total budget that ends at `deadline`.
+/// Before each read the socket's timeout is set to what is left (at most
+/// [`IO_TIMEOUT`]), so a client that drips its request cannot hold the
+/// reader past the budget. Once it is spent, only bytes that have already
+/// arrived are read. Expiry surfaces as [`timed_out`] errors.
+struct Budgeted<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            self.stream.set_nonblocking(true)?;
+            let n = self.stream.read(buf);
+            self.stream.set_nonblocking(false)?;
+            return n;
+        }
+        self.stream.set_read_timeout(Some(left.min(IO_TIMEOUT)))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Whether a read failed because its budget or timeout ran out.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
 }
 
 /// The last successful planner outcome for one mechanism — the degraded
@@ -450,9 +482,12 @@ fn accept_loop(
 /// the very 429 the client is supposed to see.
 fn shed(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
     shared.registry.counter_add("serve.shed", 1);
-    let _ = job.stream.set_read_timeout(Some(SHED_DRAIN_TIMEOUT));
     let _ = job.stream.set_write_timeout(Some(IO_TIMEOUT));
-    let request = read_request(&mut job.stream).ok();
+    let request = read_request(&mut Budgeted {
+        stream: &job.stream,
+        deadline: job.accepted_at + SHED_DRAIN_TIMEOUT,
+    })
+    .ok();
     let mut trace = shared.telemetry.begin(request.as_ref(), job.accepted_at, 0);
     trace.enter("shed");
     if let Some(request) = &request {
@@ -498,24 +533,36 @@ fn worker_loop(queue: Arc<BoundedQueue<Job>>, shared: Arc<Shared>) {
 }
 
 fn handle_connection(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
-    let _ = job.stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = job.stream.set_write_timeout(Some(IO_TIMEOUT));
     let queue_us = job.accepted_at.elapsed().as_micros() as u64;
-    let request = match read_request(&mut job.stream) {
+    // The request's own `x-wavm3-deadline-ms` is in the head still to be
+    // read, so the read gets the server's default.
+    let read = read_request(&mut Budgeted {
+        stream: &job.stream,
+        deadline: job.accepted_at + Duration::from_millis(shared.cfg.default_deadline_ms),
+    });
+    let request = match read {
         Ok(request) => request,
         Err(e) => {
             // Unreadable request: no headers to resolve a trace from,
-            // so the fallback id still correlates the 400 end to end.
+            // so the fallback id still correlates the 400 or 408 end to
+            // end. A slow client is not a server failure, so neither
+            // feeds the breaker.
+            let (status, error) = if timed_out(&e) {
+                (408, "request_timeout")
+            } else {
+                (400, "bad_request")
+            };
             let mut trace = shared.telemetry.begin(None, job.accepted_at, queue_us);
             let breaker = shared.breaker_label();
             trace.set_breaker(breaker);
             let trace_hex = trace.trace_id().as_hex();
             let response = Response::json(
-                400,
-                ErrorResponse::with_context("bad_request", e.to_string(), &trace_hex, "-", breaker),
+                status,
+                ErrorResponse::with_context(error, e.to_string(), &trace_hex, "-", breaker),
             )
             .with_header("x-wavm3-trace-id", trace_hex);
-            trace.set_status(400);
+            trace.set_status(status);
             trace.enter("respond");
             let _ = response.write_to(&mut job.stream);
             trace.exit();

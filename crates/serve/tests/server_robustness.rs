@@ -2,9 +2,9 @@
 //! failure mode driven deterministically through the seeded chaos
 //! middleware and asserted from the client side.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wavm3_serve::http::{roundtrip, ClientResponse, MAX_HEAD_BYTES};
 use wavm3_serve::{BreakerConfig, ChaosConfig, ServeConfig, ServerHandle};
 
@@ -377,4 +377,76 @@ fn graceful_drain_finishes_every_accepted_request() {
             response.status
         );
     }
+}
+
+#[test]
+fn slow_drip_clients_are_cut_off_at_the_deadline() {
+    // One worker, a 300 ms default deadline, and a client that drips a
+    // 34-byte head a byte every 200 ms: the read budget, not the head's
+    // length, bounds how long it holds the worker. It gets 408, and a
+    // well-formed request sent 150 ms later is served. A slow client is
+    // not a server failure, so even a breaker that trips on one stays
+    // closed.
+    let cfg = ServeConfig {
+        workers: 1,
+        default_deadline_ms: 300,
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            ..BreakerConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let handle = wavm3_serve::start(cfg).expect("start");
+    let addr = handle.local_addr();
+    let dripper = std::thread::spawn(move || {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let head = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
+        assert_eq!(head.len(), 34);
+        // Drip a byte, then listen until the next one is due; stop at the
+        // first answer.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("read timeout");
+        let mut raw = Vec::new();
+        for byte in head {
+            stream.write_all(&[*byte]).expect("drip");
+            let mut buf = [0u8; 1024];
+            match stream.read(&mut buf) {
+                Ok(n) => {
+                    raw.extend_from_slice(&buf[..n]);
+                    break;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("dripper read: {e}"),
+            }
+        }
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+            .read_to_end(&mut raw)
+            .expect("the rest of the answer");
+        (
+            String::from_utf8_lossy(&raw).into_owned(),
+            started.elapsed(),
+        )
+    });
+    std::thread::sleep(Duration::from_millis(150));
+    let started = Instant::now();
+    let second = get(&handle, "/healthz");
+    let second_took = started.elapsed();
+    let (answer, dripper_took) = dripper.join().expect("dripper");
+
+    assert!(
+        answer.starts_with("HTTP/1.1 408 "),
+        "dripper got {answer:?}"
+    );
+    assert!(answer.contains("request_timeout"), "{answer}");
+    assert!(dripper_took < Duration::from_secs(2), "{dripper_took:?}");
+    assert_eq!(second.status, 200, "{}", second.body_text());
+    assert!(second_took < Duration::from_secs(2), "{second_took:?}");
+    let snapshot = handle.registry().snapshot();
+    assert_eq!(snapshot.counters.get("serve.breaker.opened"), None);
+    handle.join();
 }

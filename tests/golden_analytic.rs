@@ -592,9 +592,15 @@ fn oracle_run(
 /// profile m01 and m02 share.
 fn oracle_power(cores: f64, nic: f64, mem_activity: f64, service_w: f64) -> f64 {
     let spec = hardware::m01();
-    let p = spec.power;
+    let f = (cores / spec.cpu_capacity()).powf(spec.power.cpu_exponent);
+    oracle_power_at(f, nic, mem_activity, service_w)
+}
+
+/// [`oracle_power`] with the CPU curve's `u^e` given as `f`.
+fn oracle_power_at(f: f64, nic: f64, mem_activity: f64, service_w: f64) -> f64 {
+    let p = hardware::m01().power;
     p.idle_w
-        + p.cpu_dynamic_w * (cores / spec.cpu_capacity()).powf(p.cpu_exponent)
+        + p.cpu_dynamic_w * f
         + p.nic_w_at_line_rate * nic
         + p.mem_contention_w * mem_activity
         + service_w
@@ -735,6 +741,82 @@ fn live_phase_energies_match_the_hand_computed_oracle() {
             r.target_energy.transfer_j,
             power(dst_stream, nic, loading, svc.transfer_target_w) * stream_s
                 + power(dst_stream, 0.0, 0.0, svc.activation_target_w) * tick_s,
+        ),
+        (
+            "source activation",
+            r.source_energy.activation_j,
+            power(idle_host, 0.0, 0.0, svc.activation_source_w) * act_s,
+        ),
+        (
+            "target activation",
+            r.target_energy.activation_j,
+            power(migrant_host, 0.0, 0.0, svc.activation_target_w) * act_s,
+        ),
+    ]);
+}
+
+/// Hand-computed oracle: a post-copy migration of an idle guest, on the
+/// non-live oracle's set-up. One round, `te = ts + 64 s`, and a downtime
+/// of the 400 ms handover: the guest leaves the source at `ts` and adds
+/// its 0.04 VMM cores on the target from its resume at `ts + 0.4 s`; its
+/// demand ramp multiplies zero demand. That resume moves the target's
+/// utilisation by 1.25·10⁻³, inside `PowCache`'s ±2·10⁻³ window, so the
+/// engine prices what follows with the cache's second-order expansion
+/// around the handover's utilisation, and so does the oracle. Post-copy
+/// transfer never spans, so this pins the ticked step.
+#[test]
+fn postcopy_phase_energies_match_the_hand_computed_oracle() {
+    let (cfg, r) = oracle_run(MigrationKind::PostCopy, Arc::new(IdleWorkload));
+    assert_eq!(r.rounds.len(), 1);
+    assert_eq!(r.downtime, cfg.timing.postcopy_handover);
+    let power = oracle_power;
+    let control = cfg.cpu_cost.control_cores;
+    let idle_host = 0.10 + control;
+    let migrant_host = 0.10 + 0.04 + control;
+    let src_stream = 0.10 + cfg.cpu_cost.source_cores_at_line_rate;
+    let dst_stream = 0.10 + cfg.cpu_cost.target_cores_at_line_rate;
+    // `u^e` on the target once the guest runs there, expanded around the
+    // handover's `u0` as `PowCache::eval` does.
+    let spec = hardware::m01();
+    let e = spec.power.cpu_exponent;
+    let u0 = dst_stream / spec.cpu_capacity();
+    let du = (dst_stream + 0.04) / spec.cpu_capacity() - u0;
+    let f0 = u0.powf(e);
+    let (d1, d2) = (e * f0 / u0, e * (e - 1.0) * f0 / (u0 * u0));
+    let resumed = f0 + du * (d1 + du * (0.5 * d2));
+    let (nic, loading) = oracle_stream(&cfg);
+    let svc = cfg.service;
+    let init_s = cfg.timing.initiation.as_secs_f64();
+    let act_s = cfg.timing.activation.as_secs_f64();
+    let handover_s = cfg.timing.postcopy_handover.as_secs_f64();
+    // As in the other oracles, the transfer's last tick keeps the CPU
+    // allocated before the transfer ends and the power booked after it.
+    let tick_s = cfg.timing.tick.as_secs_f64();
+    let stream_s = 64.0 - tick_s;
+    assert_oracle([
+        (
+            "source initiation",
+            r.source_energy.initiation_j,
+            power(migrant_host, 0.0, 0.0, svc.init_source_w) * init_s,
+        ),
+        (
+            "target initiation",
+            r.target_energy.initiation_j,
+            power(idle_host, 0.0, 0.0, svc.init_target_w) * init_s,
+        ),
+        (
+            "source transfer",
+            r.source_energy.transfer_j,
+            power(src_stream, nic, 0.0, svc.transfer_source_w) * stream_s
+                + power(src_stream, 0.0, 0.0, svc.activation_source_w) * tick_s,
+        ),
+        (
+            "target transfer",
+            r.target_energy.transfer_j,
+            power(dst_stream, nic, loading, svc.transfer_target_w) * handover_s
+                + oracle_power_at(resumed, nic, loading, svc.transfer_target_w)
+                    * (stream_s - handover_s)
+                + oracle_power_at(resumed, 0.0, 0.0, svc.activation_target_w) * tick_s,
         ),
         (
             "source activation",

@@ -91,16 +91,14 @@ fn tick_count(records: &[Vec<MigrationRecord>]) -> u64 {
         .sum()
 }
 
-/// The tick-cache counters: `(full + fast_hit + semi_hit + replayed,
-/// replayed, spans)`. The tiers count the ticks that were stepped,
-/// `replayed` the ticks served from a scenario's tape.
+/// The tick-cache counters: `(full + fast_hit + replayed, replayed,
+/// spans)`. `full` counts the ticks that were stepped one by one,
+/// `fast_hit` those stepped inside spans, and `replayed` those served from
+/// a scenario's tape.
 fn tick_tiers(perf: &PerfSnapshot) -> (u64, u64, u64) {
     let get = |k: &str| perf.counters.get(k).copied().unwrap_or(0);
     let replayed = get("analytic.tick_cache.replayed");
-    let tiers = get("analytic.tick_cache.full")
-        + get("analytic.tick_cache.fast_hit")
-        + get("analytic.tick_cache.semi_hit")
-        + replayed;
+    let tiers = get("analytic.tick_cache.full") + get("analytic.tick_cache.fast_hit") + replayed;
     (tiers, replayed, get("analytic.tick_cache.spans"))
 }
 
