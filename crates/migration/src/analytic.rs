@@ -428,16 +428,15 @@ impl MigrationSimulation {
         // profile constants: then the running counts, those folds and the
         // migration's CPU move only at events (stage edges, suspend / resume /
         // relocation, the post-copy ramp, fault-window edges), and between
-        // events only the demand curves do, and on two constant hosts
-        // (`frozen`) not even they. Both conjunctions range over the union
-        // of slots, so they are relocation-invariant.
+        // events only the demand curves do, and on a constant host not even
+        // they. The conjunction ranges over the union of slots, so it is
+        // relocation-invariant.
         let folds_constant = hosts
             .src
             .slots
             .iter()
             .chain(&hosts.dst.slots)
             .all(Slot::folds_constant);
-        let frozen = hosts.src.constant && hosts.dst.constant;
 
         // Tick tallies (flushed once per run into the profiler so the hot
         // loop never touches shared state). Ticks stepped inside spans
@@ -567,33 +566,23 @@ impl MigrationSimulation {
                         .min(hi.saturating_sub(now_us) / dt_us)
                 };
                 let secs = dt_us as f64 / 1e6;
-                // Two constant hosts freeze every input: the span is one
-                // record entry, and its ticks replay only the transfer.
-                let k = if frozen {
-                    let k = replay(mech, &p, dt_s, n, |_| {});
-                    if k > 0 {
-                        book(steps, w, k, stage, secs, src, dst);
+                let factor = mech.migrant_factor();
+                let k = replay(mech, &p, dt_s, n, |k| {
+                    let t = now + SimDuration::from_micros(k * dt_us);
+                    if !hosts.src.constant {
+                        let vm_cores = hosts.src.refresh_tick(t, factor).vm_cores;
+                        let a = hosts.src.allocate(p.src.running, vm_cores, migr_src);
+                        debug_assert!(!in_transfer || a.scale == 1.0, "source saturated");
+                        src.f = pow_src.eval(a.utilisation());
                     }
-                    k
-                } else {
-                    let factor = mech.migrant_factor();
-                    replay(mech, &p, dt_s, n, |k| {
-                        let t = now + SimDuration::from_micros(k * dt_us);
-                        if !hosts.src.constant {
-                            let vm_cores = hosts.src.refresh_demands(t, factor, |_| {});
-                            let a = hosts.src.allocate(p.src.running, vm_cores, migr_src);
-                            debug_assert!(!in_transfer || a.scale == 1.0, "source saturated");
-                            src.f = pow_src.eval(a.utilisation());
-                        }
-                        if !hosts.dst.constant {
-                            let vm_cores = hosts.dst.refresh_demands(t, factor, |_| {});
-                            let a = hosts.dst.allocate(p.dst.running, vm_cores, migr_dst);
-                            debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
-                            dst.f = pow_dst.eval(a.utilisation());
-                        }
-                        book(steps, w, 1, stage, secs, src, dst);
-                    })
-                };
+                    if !hosts.dst.constant {
+                        let vm_cores = hosts.dst.refresh_tick(t, factor).vm_cores;
+                        let a = hosts.dst.allocate(p.dst.running, vm_cores, migr_dst);
+                        debug_assert!(!in_transfer || a.scale == 1.0, "target saturated");
+                        dst.f = pow_dst.eval(a.utilisation());
+                    }
+                    book(steps, w, 1, stage, secs, src, dst);
+                });
                 now += SimDuration::from_micros(k * dt_us);
                 ticks_spanned += k;
                 spans += u64::from(k > 0);

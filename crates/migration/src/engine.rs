@@ -1028,46 +1028,29 @@ impl HostState {
     }
 
     /// Refresh every workload's CPU demand (advancing each ripple
-    /// oscillator by one tick) and fold the running guests' demand in
-    /// placement order from 0.0: `Host::cpu_accounting`'s `vm_cores`, whose
-    /// 0.0 for a suspended guest cannot move a sum that starts at +0.0.
-    /// `running` sees each running slot once its demand is folded.
-    /// `migrant_factor` is the post-copy degraded-demand multiplier,
-    /// applied to the migrant slot only (pass 1.0 otherwise — an exact
-    /// no-op).
+    /// oscillator by one tick) and fold the sums this tick needs, all in
+    /// one placement-order pass. A suspended guest's 0.0 demand, which
+    /// `Host::cpu_accounting` adds to `vm_cores`, is left out: it cannot
+    /// move a sum that starts at +0.0. `migrant_factor` is the post-copy
+    /// degraded-demand multiplier, applied to the migrant slot only (pass
+    /// 1.0 otherwise — an exact no-op).
     ///
-    /// Suspension flags must be synced *before* the call: the fold reads
+    /// Suspension flags must be synced *before* the call: the folds read
     /// them, exactly like `Vm::cpu_demand` gating on the Running state.
     #[inline]
-    pub(crate) fn refresh_demands(
-        &mut self,
-        now: SimTime,
-        migrant_factor: f64,
-        mut running: impl FnMut(&Slot),
-    ) -> f64 {
-        let mut vm_cores = 0.0;
+    pub(crate) fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
+        let mut sums = TickSums::default();
         for slot in &mut self.slots {
             slot.refresh_demand(now, migrant_factor);
             if slot.running {
-                vm_cores += slot.demand;
-                running(slot);
+                sums.running += 1;
+                sums.vm_cores += slot.demand;
+                if slot.wl.is_some() {
+                    sums.line_share += slot.line_share_at(now);
+                    sums.write_rate += slot.write_rate_at(now);
+                }
             }
         }
-        vm_cores
-    }
-
-    /// Every sum a tick needs, in the one pass of
-    /// [`Self::refresh_demands`].
-    #[inline]
-    fn refresh_tick(&mut self, now: SimTime, migrant_factor: f64) -> TickSums {
-        let mut sums = TickSums::default();
-        sums.vm_cores = self.refresh_demands(now, migrant_factor, |slot| {
-            sums.running += 1;
-            if slot.wl.is_some() {
-                sums.line_share += slot.line_share_at(now);
-                sums.write_rate += slot.write_rate_at(now);
-            }
-        });
         sums
     }
 

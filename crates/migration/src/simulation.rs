@@ -219,14 +219,19 @@ impl MigrationSimulation {
         if let Some(why) = cap.and_then(|cap| past_horizon(bytes / cap)) {
             return Err(Wavm3Error::invalid_config("precopy.rate_limit_bps", why));
         }
-        // Link windows can stall the stream: a window of length `d` at
-        // bandwidth factor `f` costs `d·(1 − f)` at most. Without a cap
-        // the best rate is the line's.
+        // Link windows can stall the stream: time spent under windows runs
+        // at a bandwidth factor of `min_factor` at worst, so `d` of it costs
+        // `d·(1 − min_factor)` at most. The windows start in `[earliest,
+        // latest]`, so they cover at most `latest − earliest + max_duration`
+        // between them. The best rate is the line's, or the cap below it.
         let link = config.faults.link;
         if link.mean_windows > 0.0 {
-            let best = cap.unwrap_or(cluster.link.line_rate_bps);
-            let stall =
-                link.max_windows as f64 * link.max_duration.as_secs_f64() * (1.0 - link.min_factor);
+            let line = cluster.link.line_rate_bps;
+            let best = cap.map_or(line, |cap| cap.min(line));
+            let longest = link.max_duration.as_secs_f64();
+            let covered = (link.max_windows as f64 * longest)
+                .min(link.latest.saturating_since(link.earliest).as_secs_f64() + longest);
+            let stall = covered * (1.0 - link.min_factor);
             if let Some(why) = past_horizon(bytes / best + stall) {
                 return Err(Wavm3Error::invalid_config("faults.link", why));
             }
@@ -862,6 +867,23 @@ mod tests {
             let r = build(path, |c| c.precopy.rate_limit_bps = Some(2.0e6))
                 .expect("4 GiB at 2 MB/s crosses in time")
                 .run();
+            assert!(r.phases.me < HORIZON, "{path:?}: me {}", r.phases.me);
+            // Eight certain 500 s outages that all start in [13 s, 60 s]
+            // cover 547 s between them, not 4,000 s.
+            let r = build(path, |c| {
+                c.faults.link = LinkFaultConfig {
+                    mean_windows: 8.0,
+                    max_windows: 8,
+                    min_duration: secs(500),
+                    max_duration: secs(500),
+                    min_factor: 0.0,
+                    max_factor: 0.0,
+                    earliest: SimTime::from_secs(13),
+                    latest: SimTime::from_secs(60),
+                }
+            })
+            .expect("overlapping outages fit the horizon")
+            .run();
             assert!(r.phases.me < HORIZON, "{path:?}: me {}", r.phases.me);
         }
     }

@@ -42,6 +42,15 @@ impl Request {
 /// Read and parse one request from the stream, however its bytes are
 /// split into reads.
 pub fn read_request<R: Read>(stream: &mut R) -> io::Result<Request> {
+    let (mut request, content_length) = read_head(stream)?;
+    read_body(stream, &mut request, content_length)?;
+    Ok(request)
+}
+
+/// Read and parse a request's head. The request's body holds what arrived
+/// after the head; [`read_body`] reads the rest of the returned
+/// `content-length`.
+pub(crate) fn read_head<R: Read>(stream: &mut R) -> io::Result<(Request, usize)> {
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     // Where the blank line ending the head could still start: the bytes
@@ -124,7 +133,23 @@ pub fn read_request<R: Read>(stream: &mut R) -> io::Result<Request> {
         ));
     }
 
-    let mut body = rest.to_vec();
+    let request = Request {
+        method,
+        path,
+        headers,
+        body: rest.to_vec(),
+    };
+    Ok((request, content_length))
+}
+
+/// Read the rest of a request's body, up to `content_length` bytes.
+pub(crate) fn read_body<R: Read>(
+    stream: &mut R,
+    request: &mut Request,
+    content_length: usize,
+) -> io::Result<()> {
+    let mut buf = [0u8; 512];
+    let body = &mut request.body;
     while body.len() < content_length {
         let n = stream.read(&mut buf)?;
         if n == 0 {
@@ -136,13 +161,7 @@ pub fn read_request<R: Read>(stream: &mut R) -> io::Result<Request> {
         body.extend_from_slice(&buf[..n]);
     }
     body.truncate(content_length);
-
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    Ok(())
 }
 
 fn find_head_end(bytes: &[u8]) -> Option<usize> {

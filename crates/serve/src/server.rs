@@ -39,7 +39,7 @@ use crate::api::{kind_label, ApiRequest, ErrorResponse, PlanResponse, PredictRes
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::chaos::{self, Fate};
 use crate::config::ServeConfig;
-use crate::http::{read_request, Request, Response};
+use crate::http::{read_body, read_head, read_request, Request, Response};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::telemetry::{route_label, Telemetry};
 use std::io::{self, Read};
@@ -535,11 +535,19 @@ fn worker_loop(queue: Arc<BoundedQueue<Job>>, shared: Arc<Shared>) {
 fn handle_connection(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
     let _ = job.stream.set_write_timeout(Some(IO_TIMEOUT));
     let queue_us = job.accepted_at.elapsed().as_micros() as u64;
-    // The request's own `x-wavm3-deadline-ms` is in the head still to be
-    // read, so the read gets the server's default.
-    let read = read_request(&mut Budgeted {
+    // The request's own `x-wavm3-deadline-ms` is in its head, so the head
+    // is read within the server's default and the body within the longer
+    // of the two.
+    let default_ms = shared.cfg.default_deadline_ms;
+    let mut reader = Budgeted {
         stream: &job.stream,
-        deadline: job.accepted_at + Duration::from_millis(shared.cfg.default_deadline_ms),
+        deadline: job.accepted_at + Duration::from_millis(default_ms),
+    };
+    let read = read_head(&mut reader).and_then(|(mut request, content_length)| {
+        let deadline_ms = deadline_ms(&request, default_ms).max(default_ms);
+        reader.deadline = job.accepted_at + Duration::from_millis(deadline_ms);
+        read_body(&mut reader, &mut request, content_length)?;
+        Ok(request)
     });
     let request = match read {
         Ok(request) => request,
@@ -660,12 +668,9 @@ fn handle_api(
         1,
     );
 
-    // Deadline budget: per-request override or the server default,
-    // counted from the accept instant so queue wait is charged too.
-    let deadline_ms = request
-        .header("x-wavm3-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(shared.cfg.default_deadline_ms);
+    // Deadline budget, counted from the accept instant so queue wait is
+    // charged too.
+    let deadline_ms = deadline_ms(request, shared.cfg.default_deadline_ms);
     let budget_left = || deadline_ms as i64 - accepted_at.elapsed().as_millis() as i64;
 
     // Chaos fate for this request, keyed by the client-supplied chaos key
@@ -780,6 +785,14 @@ fn handle_api(
         accepted_at.elapsed().as_secs_f64() * 1e3,
     );
     response
+}
+
+/// A request's deadline: its `x-wavm3-deadline-ms`, or else `default_ms`.
+fn deadline_ms(request: &Request, default_ms: u64) -> u64 {
+    request
+        .header("x-wavm3-deadline-ms")
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(default_ms)
 }
 
 fn deadline_exceeded(

@@ -450,3 +450,64 @@ fn slow_drip_clients_are_cut_off_at_the_deadline() {
     assert_eq!(snapshot.counters.get("serve.breaker.opened"), None);
     handle.join();
 }
+
+#[test]
+fn a_body_is_read_within_the_request_deadline() {
+    // The head is read within the server's 1 s default; once it names a
+    // longer deadline, the body gets that. A body that arrives at 1.2 s
+    // of a 2 s deadline is served, one that never arrives is cut off at
+    // its own 1.5 s deadline, and the longest deadline a header can name
+    // is served.
+    let cfg = ServeConfig {
+        workers: 3,
+        default_deadline_ms: 1000,
+        ..ServeConfig::default()
+    };
+    let handle = wavm3_serve::start(cfg).expect("start");
+    let addr = handle.local_addr();
+    let body = r#"{"kind": "live", "ram_mib": 4096}"#;
+    let send = move |deadline_ms: u64, body_after: Option<Duration>| -> (String, Duration) {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let head = format!(
+            "POST /predict HTTP/1.1\r\nhost: x\r\nx-wavm3-deadline-ms: {deadline_ms}\r\n\
+             content-length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("head");
+        if let Some(after) = body_after {
+            std::thread::sleep(after);
+            stream.write_all(body.as_bytes()).expect("body");
+        }
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("answer");
+        (
+            String::from_utf8_lossy(&raw).into_owned(),
+            started.elapsed(),
+        )
+    };
+    let late = std::thread::spawn(move || send(2000, Some(Duration::from_millis(1200))));
+    let never = std::thread::spawn(move || send(1500, None));
+    let (endless, _) = send(u64::MAX, Some(Duration::ZERO));
+    let (late, late_took) = late.join().expect("late body");
+    let (never, never_took) = never.join().expect("no body");
+
+    assert!(
+        endless.starts_with("HTTP/1.1 200 "),
+        "endless deadline got {endless:?}"
+    );
+    assert!(late.starts_with("HTTP/1.1 200 "), "late body got {late:?}");
+    assert!(late_took < Duration::from_secs(2), "{late_took:?}");
+    assert!(
+        never.starts_with("HTTP/1.1 408 "),
+        "missing body got {never:?}"
+    );
+    assert!(
+        never_took >= Duration::from_millis(1400) && never_took < Duration::from_millis(2500),
+        "{never_took:?}"
+    );
+    handle.join();
+}
