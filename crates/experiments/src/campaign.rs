@@ -70,11 +70,6 @@ pub struct CampaignReport {
     pub stats: CampaignStats,
     /// Every scenario failure, sorted by scenario id.
     pub failures: Vec<ScenarioFailure>,
-    /// Flat wall-clock profile (scope path → stage stats), filled by the
-    /// CLI layer from the observability session when the self-profiler is
-    /// armed; empty otherwise. Wall-clock data — excluded from all
-    /// determinism comparisons.
-    pub profiling: wavm3_obs::perf::ProfileSnapshot,
 }
 
 /// A supervised experiment campaign: a [`RunnerConfig`] plus checkpoint
@@ -324,7 +319,6 @@ impl Campaign {
         CampaignReport {
             stats: state.stats,
             failures,
-            profiling: Default::default(),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! degradation, pre-copy non-convergence, occasional aborts with retry),
 //! the observability set: `--trace PATH` (deterministic JSONL event
 //! trace), `--log-level LVL` (human console subscriber on stderr),
-//! `--metrics-out PATH` (metrics snapshot + wall-clock profiling JSON),
+//! `--metrics-out PATH` (metrics snapshot JSON),
 //! `--ledger-out PATH` (per-migration energy-attribution JSONL),
 //! `--html-report PATH` (self-contained HTML campaign report) and
 //! `--profile-out DIR` (arms the hierarchical self-profiler and writes
@@ -46,7 +46,7 @@ pub struct ObsCliOptions {
     pub trace: Option<PathBuf>,
     /// `--log-level LVL`: echo events at `LVL` and above to stderr.
     pub log_level: Option<Level>,
-    /// `--metrics-out PATH`: write the metrics + profiling JSON here.
+    /// `--metrics-out PATH`: write the metrics snapshot JSON here.
     pub metrics_out: Option<PathBuf>,
     /// `--ledger-out PATH`: write the energy-attribution JSONL here.
     pub ledger_out: Option<PathBuf>,
@@ -254,7 +254,7 @@ fn usage(err: &str) -> ! {
     eprintln!("      (closed-form per-phase energies, no per-sample rows, ~100x faster)");
     eprintln!("  --trace: write a deterministic sim-time JSONL event trace");
     eprintln!("  --log-level: echo events (trace/debug/info/warn/error) to stderr");
-    eprintln!("  --metrics-out: write the metrics snapshot + wall-clock profile as JSON");
+    eprintln!("  --metrics-out: write the metrics snapshot as JSON");
     eprintln!("  --ledger-out: write the per-migration energy-attribution JSONL (deterministic)");
     eprintln!("  --html-report: write a self-contained HTML campaign report (phase energies,");
     eprintln!("      residual summaries, fault/retry counts); arms metrics + ledger");
@@ -349,16 +349,13 @@ pub fn run(body: impl FnOnce(&CliOptions, &Campaign) -> Result<(), Wavm3Error>) 
                 Err(e) => sink_result = Err(e),
             }
         }
-        let profile = wavm3_obs::perf::summarise(&report.profiling);
+        let profile = wavm3_obs::perf::summarise(&report.perf);
         if !profile.is_empty() {
             eprint!("{profile}");
         }
     }
 
     let mut report = campaign.report();
-    if let Some(obs) = &obs_report {
-        report.profiling = obs.profiling.clone();
-    }
     if let Some(signal) = wavm3_harness::signal::interrupted_by() {
         // The campaign records one failure per scenario it skipped during
         // the drain; a signal that lands after the last scenario still

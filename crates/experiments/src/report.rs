@@ -233,8 +233,9 @@ fn supervision_section(out: &mut String, campaign: &CampaignReport) {
     }
 }
 
-fn profiling_section(out: &mut String, campaign: &CampaignReport) {
-    if campaign.profiling.is_empty() {
+fn profiling_section(out: &mut String, obs: &ObsReport) {
+    let rows = obs.perf.hotspots();
+    if rows.is_empty() {
         return;
     }
     let _ = writeln!(
@@ -246,16 +247,16 @@ fn profiling_section(out: &mut String, campaign: &CampaignReport) {
          <th class=\"num\">total (ms)</th><th class=\"num\">self (ms)</th>\
          <th class=\"num\">max (ms)</th></tr>"
     );
-    for (path, s) in &campaign.profiling {
+    for h in rows {
         let _ = writeln!(
             out,
             "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
              <td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-            escape_html(path),
-            s.count,
-            cell(s.total_ms),
-            cell(s.self_ms),
-            cell(s.max_ms),
+            escape_html(&h.path),
+            h.count,
+            cell(h.total_ns as f64 / 1e6),
+            cell(h.self_ns as f64 / 1e6),
+            cell(h.max_ns as f64 / 1e6),
         );
     }
     let _ = writeln!(out, "</table>");
@@ -332,7 +333,7 @@ pub fn render_campaign_html(obs: &ObsReport, campaign: &CampaignReport) -> Strin
     energy_section(&mut out, &obs.ledger);
     residual_section(&mut out, &obs.metrics.gauges);
     metrics_section(&mut out, obs);
-    profiling_section(&mut out, campaign);
+    profiling_section(&mut out, obs);
     let _ = writeln!(out, "</body>\n</html>");
     out
 }
@@ -347,7 +348,6 @@ mod tests {
         CampaignReport {
             stats: Default::default(),
             failures: Vec::new(),
-            profiling: Default::default(),
         }
     }
 
@@ -378,7 +378,6 @@ mod tests {
             events: Vec::new(),
             ledger,
             metrics: snap,
-            profiling: Default::default(),
             perf: Default::default(),
         }
     }

@@ -161,8 +161,9 @@ pub struct ScenarioResult {
     pub budget_truncated: bool,
 }
 
-/// A scenario that panicked under supervision, recorded with everything
-/// needed to reproduce the panic deterministically: the scenario id, the
+/// A scenario that panicked under supervision, or whose config the
+/// simulation rejected (recorded at rep 0), with everything needed to
+/// reproduce the failure deterministically: the scenario id, the
 /// campaign seed, the poisoned repetition, and the fault plan that
 /// repetition drew (when fault injection was on).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -177,7 +178,7 @@ pub struct ScenarioFailure {
     /// The fault plan attempt 0 of that repetition drew, if it could be
     /// regenerated (a planner panic leaves it `None`).
     pub fault_plan: Option<FaultPlan>,
-    /// The captured panic message.
+    /// The captured panic message, or the config error.
     pub message: String,
 }
 
@@ -230,24 +231,23 @@ fn run_key(id: &str, rep: u64, attempt: u32) -> String {
 }
 
 /// Everything a scenario's repetitions share, computed exactly once: the
-/// id string, the RNG scope, the migration config, and a prototype
-/// simulation that every repetition re-runs with its own RNG root instead
-/// of rebuilding the cluster, workloads and config from scratch.
+/// id string, the RNG scope, and a prototype simulation that every
+/// repetition re-runs with its own RNG root instead of rebuilding the
+/// cluster, workloads and config from scratch.
 struct ScenarioCtx<'a> {
-    scenario: &'a Scenario,
     cfg: &'a RunnerConfig,
     id: String,
     scope: RngFactory,
-    config: MigrationConfig,
     /// Fault config when injection is enabled (the retry protocol only
     /// engages on this path).
     faults: Option<FaultConfig>,
-    /// `None` when construction panicked.
-    prototype: Option<MigrationSimulation>,
+    prototype: MigrationSimulation,
 }
 
 impl<'a> ScenarioCtx<'a> {
-    fn new(scenario: &'a Scenario, cfg: &'a RunnerConfig) -> Self {
+    /// Build the prototype. A config the simulation rejects fails the
+    /// scenario at rep 0, since every repetition would fail alike.
+    fn new(scenario: &Scenario, cfg: &'a RunnerConfig) -> Result<Self, Box<ScenarioFailure>> {
         let id = scenario.id();
         let scope = scenario_rng(cfg, &id);
         let faults = cfg.faults.filter(|f| f.is_enabled());
@@ -257,36 +257,23 @@ impl<'a> ScenarioCtx<'a> {
         };
         config.path = cfg.path;
         // The stored RNG is a placeholder — `run_reusing` takes the real
-        // per-repetition root as an argument. A panic during construction
-        // falls back to the per-repetition build, where supervision
-        // captures it as a structured rep-0 failure.
-        let prototype = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scenario.build_with_config(scope.child(0), config)
-        }))
-        .ok();
-        ScenarioCtx {
-            scenario,
+        // per-repetition root as an argument.
+        let prototype = scenario
+            .try_build_with_config(scope.child(0), config)
+            .map_err(|e| ScenarioFailure::capture(scenario, cfg, &scope, 0, &e))?;
+        Ok(ScenarioCtx {
             cfg,
             id,
             scope,
-            config,
             faults,
             prototype,
-        }
+        })
     }
 
     /// One simulation run with the given RNG root, through the prototype
     /// and the worker's recycled [`RunSlot`].
     fn run_once(&self, rng: RngFactory) -> MigrationRecord {
-        let rebuilt;
-        let sim = match &self.prototype {
-            Some(sim) => sim,
-            None => {
-                rebuilt = self.scenario.build_with_config(rng, self.config);
-                &rebuilt
-            }
-        };
-        RUN_SLOT.with(|slot| sim.run_reusing(rng, &mut slot.borrow_mut()))
+        RUN_SLOT.with(|slot| self.prototype.run_reusing(rng, &mut slot.borrow_mut()))
     }
 }
 
@@ -393,7 +380,7 @@ pub fn run_scenario_supervised(
     budget: &Budget,
 ) -> Result<ScenarioResult, Box<ScenarioFailure>> {
     let _timer = wavm3_obs::perf::scope("runner.scenario");
-    let ctx = ScenarioCtx::new(scenario, cfg);
+    let ctx = ScenarioCtx::new(scenario, cfg)?;
     let mut tracker = BudgetTracker::start(*budget);
     let mut truncated = false;
 
@@ -675,6 +662,58 @@ mod tests {
         // The retry protocol is as reproducible as everything else.
         let again = run_scenario(&scenario, &cfg);
         assert_eq!(records, again);
+    }
+
+    #[test]
+    fn a_config_the_simulation_rejects_fails_the_scenario_at_rep_zero() {
+        use wavm3_faults::LinkFaultConfig;
+        use wavm3_obs::{ObsConfig, Session};
+        use wavm3_simkit::SimTime;
+
+        let mut scenario = cheap_scenario();
+        scenario.kind = MigrationKind::Live;
+        // A certain 4,000 s total link outage at 13 s: the image cannot
+        // cross before the horizon, which `try_new` rejects.
+        let faults = FaultConfig {
+            link: LinkFaultConfig {
+                mean_windows: 1.0,
+                max_windows: 1,
+                min_duration: SimDuration::from_secs(4_000),
+                max_duration: SimDuration::from_secs(4_000),
+                min_factor: 0.0,
+                max_factor: 0.0,
+                earliest: SimTime::from_secs(13),
+                latest: SimTime::from_secs(13),
+            },
+            ..FaultConfig::default()
+        };
+        let cfg = RunnerConfig {
+            repetitions: RepetitionPolicy::Fixed(3),
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let session = Session::install(ObsConfig {
+            metrics: true,
+            ..ObsConfig::default()
+        });
+        let failure = run_scenario_supervised(&scenario, &cfg, &Budget::UNLIMITED)
+            .expect_err("the scenario cannot be built");
+        let report = session.finish();
+        assert_eq!(failure.rep, 0);
+        assert!(
+            failure.message.starts_with("invalid config: faults.link"),
+            "{}",
+            failure.message
+        );
+        // Built once and rejected, not built and panicking per repetition.
+        assert!(
+            !report
+                .metrics
+                .counters
+                .contains_key("harness.panics_isolated"),
+            "{:?}",
+            report.metrics.counters
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wavm3_cluster::{hardware, vm_instances, Cluster, Link, MachineSet, VmId};
+use wavm3_harness::Wavm3Error;
 use wavm3_migration::{MigrationConfig, MigrationKind, MigrationSimulation};
 use wavm3_simkit::RngFactory;
 use wavm3_workloads::{MatMulWorkload, PageDirtierWorkload, Workload};
@@ -159,12 +160,27 @@ impl Scenario {
 
     /// Like [`Scenario::build`], but with an explicit engine configuration
     /// (the runner uses this to thread a fault-injection config through).
-    /// `config.kind` must agree with the scenario's mechanism.
+    /// `config.kind` must agree with the scenario's mechanism. Panics with
+    /// the error of a config the simulation rejects.
     pub fn build_with_config(
         &self,
         rng: RngFactory,
         config: MigrationConfig,
     ) -> MigrationSimulation {
+        match self.try_build_with_config(rng, config) {
+            Ok(sim) => sim,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Scenario::build_with_config`] through
+    /// [`MigrationSimulation::try_new`]: a config the simulation rejects
+    /// (one that cannot finish before the horizon, say) is an error.
+    pub fn try_build_with_config(
+        &self,
+        rng: RngFactory,
+        config: MigrationConfig,
+    ) -> Result<MigrationSimulation, Wavm3Error> {
         assert_eq!(
             config.kind, self.kind,
             "engine config disagrees with the scenario's mechanism"
@@ -202,7 +218,7 @@ impl Scenario {
             );
         }
 
-        MigrationSimulation::new(cluster, workloads, migrant, source, target, config, rng)
+        MigrationSimulation::try_new(cluster, workloads, migrant, source, target, config, rng)
     }
 
     /// A stable identifier for seeding and file names, e.g.

@@ -301,6 +301,50 @@ mod tests {
     }
 
     #[test]
+    fn truncations_and_multi_byte_flips_are_quarantined() {
+        let s = store("damage", true);
+        s.save("fam/live/m/0 VM", "fp01", "[1,2,3]").unwrap();
+        let path = s.path_for("fam/live/m/0 VM");
+        let clean = fs::read(&path).unwrap();
+        let expect_quarantine = |damaged: &[u8], what: String| {
+            fs::write(&path, damaged).unwrap();
+            match s.load("fam/live/m/0 VM", "fp01") {
+                Ok(CheckpointLoad::Quarantined { path: q, .. }) => {
+                    assert!(q.exists(), "{what}: evidence must survive")
+                }
+                other => panic!("{what}: expected quarantine, got {other:?}"),
+            }
+        };
+        for len in 0..clean.len() {
+            expect_quarantine(&clean[..len], format!("truncated to {len} bytes"));
+        }
+        // xorshift64 keeps the draws seeded without a dev-dependency.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for flips in 2..=8 {
+            for round in 0..256 {
+                // Distinct bytes, so no flip undoes another.
+                let mut damaged = clean.clone();
+                let mut at = Vec::with_capacity(flips);
+                while at.len() < flips {
+                    let i = draw(clean.len());
+                    if !at.contains(&i) {
+                        at.push(i);
+                        damaged[i] ^= 1 + draw(255) as u8;
+                    }
+                }
+                expect_quarantine(&damaged, format!("{flips} flips ({round}) at {at:?}"));
+            }
+        }
+        fs::remove_dir_all(s.dir()).ok();
+    }
+
+    #[test]
     fn fingerprint_mismatch_is_quarantined() {
         let s = store("fp", true);
         s.save("k", "fp-old-seed", "x").unwrap();

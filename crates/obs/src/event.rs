@@ -1,11 +1,12 @@
 //! Structured events and their deterministic JSONL encoding.
 //!
 //! Encoding is hand-rolled rather than serde-derived so the byte layout is
-//! fully pinned down by this module: fixed key order, integer microsecond
-//! timestamps, shortest-round-trip float formatting. Two campaigns with the
-//! same seeds therefore produce byte-identical trace files regardless of
-//! platform or thread count.
+//! fully pinned down by this module and the crate's JSON writer: fixed key
+//! order, integer microsecond timestamps, shortest-round-trip float
+//! formatting. Two campaigns with the same seeds therefore produce
+//! byte-identical trace files regardless of platform or thread count.
 
+use crate::json;
 use crate::level::Level;
 use wavm3_simkit::SimTime;
 
@@ -93,15 +94,8 @@ impl FieldValue {
             FieldValue::U64(u) => {
                 out.push_str(&u.to_string());
             }
-            FieldValue::F64(f) => {
-                // JSON has no NaN/Inf; mirror serde_json's `null` choice.
-                if f.is_finite() {
-                    out.push_str(&f.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            FieldValue::Str(s) => write_json_string(out, s),
+            FieldValue::F64(f) => json::write_f64(out, *f),
+            FieldValue::Str(s) => json::write_str(out, s),
         }
     }
 
@@ -117,24 +111,6 @@ impl FieldValue {
             other => other.write_json(out),
         }
     }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One trace record: a point event, or a closed span when
@@ -165,9 +141,9 @@ impl Event {
         out.push_str(",\"level\":\"");
         out.push_str(self.level.as_str());
         out.push_str("\",\"target\":");
-        write_json_string(&mut out, self.target);
+        json::write_str(&mut out, self.target);
         out.push_str(",\"name\":");
-        write_json_string(&mut out, self.name);
+        json::write_str(&mut out, self.name);
         if let Some(start) = self.span_start {
             out.push_str(",\"span_start_us\":");
             out.push_str(&start.as_micros().to_string());
@@ -177,7 +153,7 @@ impl Event {
             if i > 0 {
                 out.push(',');
             }
-            write_json_string(&mut out, k);
+            json::write_str(&mut out, k);
             out.push(':');
             v.write_json(&mut out);
         }

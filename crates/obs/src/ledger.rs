@@ -17,7 +17,7 @@
 //! shortest round-trip `f64` formatting (non-finite → `null`), matching
 //! the trace encoder.
 
-use crate::session;
+use crate::{json, session};
 
 /// Per-term energy of one phase window on one host, joules.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -144,11 +144,11 @@ impl LedgerEntry {
     pub fn to_jsonl(&self, run: &str) -> String {
         let mut out = String::with_capacity(512);
         out.push_str("{\"run\":");
-        write_json_string(&mut out, run);
+        json::write_str(&mut out, run);
         out.push_str(",\"kind\":");
-        write_json_string(&mut out, self.kind);
+        json::write_str(&mut out, self.kind);
         out.push_str(",\"outcome\":");
-        write_json_string(&mut out, self.outcome);
+        json::write_str(&mut out, self.outcome);
         out.push_str(",\"source\":");
         self.source.write_json(&mut out);
         out.push_str(",\"target\":");
@@ -161,32 +161,9 @@ impl LedgerEntry {
 }
 
 fn write_kv(out: &mut String, key: &str, value: f64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    if value.is_finite() {
-        out.push_str(&value.to_string());
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json::write_str(out, key);
+    out.push(':');
+    json::write_f64(out, value);
 }
 
 /// `true` when an installed session is collecting ledger entries. The

@@ -28,7 +28,7 @@
 //!   `trace_event` and collapsed-stack (flamegraph) exporters. Wall time
 //!   is inherently non-reproducible, so profiling data is kept strictly
 //!   out of traces and golden outputs: it only appears in the session
-//!   report's dedicated profiling sections.
+//!   report's [`ObsReport::perf`] snapshot and the profiler's exports.
 //!
 //! ## Quick tour
 //!
@@ -58,6 +58,7 @@
 //! ```
 
 pub mod event;
+mod json;
 pub mod ledger;
 pub mod level;
 pub mod metrics;

@@ -1,10 +1,11 @@
 //! Hierarchical wall-clock self-profiler.
 //!
-//! Replaces the original flat stage map with a **call tree**: scopes
-//! opened with [`scope`] nest, so a snapshot attributes wall time to
+//! Scopes opened with [`scope`] nest into a **call tree**, so a snapshot
+//! attributes wall time to
 //! `runner.scenario → runner.repetition → migration.run.analytic` paths
 //! with cumulative *and* self time per node, plus per-scope counts,
 //! maxima and (behind the `count-allocs` feature) allocation tallies.
+//! [`PerfSnapshot::hotspots`] is its one flat view.
 //!
 //! ## Zero contention
 //!
@@ -21,11 +22,13 @@
 //!
 //! Wall time is inherently non-reproducible, so profiling data never
 //! enters the deterministic trace buffer or any golden output: it only
-//! appears in the session report's dedicated `perf`/`profiling` sections
-//! and the exporter files ([`chrome_trace`], [`collapsed_stacks`]).
+//! appears in the session report's [`perf`](crate::ObsReport::perf)
+//! snapshot and the exporter files ([`chrome_trace`],
+//! [`collapsed_stacks`]).
 //! Snapshot *merging* is deterministic (trees merge by name in BTreeMap
 //! order), so equal recordings render identically.
 
+use crate::json;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -170,92 +173,33 @@ impl PerfSnapshot {
         rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.path.cmp(&b.path)));
         rows
     }
-
-    /// The legacy flat per-stage view: path-keyed [`StageStats`].
-    pub fn flatten(&self) -> ProfileSnapshot {
-        self.hotspots()
-            .into_iter()
-            .map(|h| {
-                (
-                    h.path,
-                    StageStats {
-                        count: h.count,
-                        total_ms: h.total_ns as f64 / 1e6,
-                        self_ms: h.self_ns as f64 / 1e6,
-                        max_ms: h.max_ns as f64 / 1e6,
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
-/// Accumulated wall-clock statistics of one stage (flat view).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageStats {
-    /// Completed timings.
-    pub count: u64,
-    /// Cumulative wall time, milliseconds.
-    pub total_ms: f64,
-    /// Wall time not attributed to child stages, milliseconds.
-    pub self_ms: f64,
-    /// Longest single timing, milliseconds.
-    pub max_ms: f64,
-}
-
-impl StageStats {
-    /// Mean wall time per timing, milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ms / self.count as f64
-        }
-    }
-}
-
-/// Per-stage wall-clock statistics, keyed by `/`-joined call-tree path.
-pub type ProfileSnapshot = BTreeMap<String, StageStats>;
-
-/// Human-readable per-campaign summary of the flat view (empty string
+/// Human-readable hotspot table, largest self time first (empty string
 /// when nothing was profiled).
-pub fn summarise(snapshot: &ProfileSnapshot) -> String {
-    if snapshot.is_empty() {
+pub fn summarise(snapshot: &PerfSnapshot) -> String {
+    let rows = snapshot.hotspots();
+    if rows.is_empty() {
         return String::new();
     }
     let mut out = String::from(
         "profile: stage                                               count   total_ms    self_ms     max_ms\n",
     );
-    for (name, s) in snapshot {
+    for h in rows {
         let _ = writeln!(
             out,
-            "profile: {name:<51} {:>6} {:>10.1} {:>10.1} {:>10.2}",
-            s.count, s.total_ms, s.self_ms, s.max_ms
+            "profile: {:<51} {:>6} {:>10.1} {:>10.1} {:>10.2}",
+            h.path,
+            h.count,
+            h.total_ns as f64 / 1e6,
+            h.self_ns as f64 / 1e6,
+            h.max_ns as f64 / 1e6
         );
     }
     out
 }
 
 // --- Exporters. -------------------------------------------------------------
-
-/// Escape `s` as the body of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the snapshot as Chrome `trace_event` JSON, loadable in
 /// `chrome://tracing` or Perfetto.
@@ -266,44 +210,31 @@ fn json_escape(s: &str) -> String {
 /// children packed sequentially inside it — the uncovered remainder of a
 /// span is its self time. Real counts and maxima ride along in `args`.
 pub fn chrome_trace(snap: &PerfSnapshot) -> String {
-    fn emit(out: &mut String, node: &PerfNode, ts_us: f64) {
-        if !out.is_empty() {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"perf\",\"name\":\"{}\",\
-             \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"count\":{},\"self_us\":{:.3},\
-             \"max_us\":{:.3},\"allocs\":{},\"alloc_bytes\":{}}}}}",
-            json_escape(&node.name),
-            ts_us,
-            node.total_ns as f64 / 1e3,
-            node.count,
-            node.self_ns as f64 / 1e3,
-            node.max_ns as f64 / 1e3,
-            node.allocs,
-            node.alloc_bytes,
-        );
-        let mut child_ts = ts_us;
+    fn emit(doc: &mut json::ChromeTrace, node: &PerfNode, ts_ns: u64) {
+        doc.complete("perf", &node.name, 1, ts_ns, node.total_ns, |args| {
+            let _ = write!(args, "\"count\":{},\"self_us\":", node.count);
+            json::write_us(args, node.self_ns);
+            args.push_str(",\"max_us\":");
+            json::write_us(args, node.max_ns);
+            let _ = write!(
+                args,
+                ",\"allocs\":{},\"alloc_bytes\":{}",
+                node.allocs, node.alloc_bytes
+            );
+        });
+        let mut child_ts = ts_ns;
         for c in &node.children {
-            emit(out, c, child_ts);
-            child_ts += c.total_ns as f64 / 1e3;
+            emit(doc, c, child_ts);
+            child_ts += c.total_ns;
         }
     }
-    let mut events = String::new();
-    let mut ts = 0.0;
+    let mut doc = json::ChromeTrace::new();
+    let mut ts = 0;
     for root in &snap.roots {
-        emit(&mut events, root, ts);
-        ts += root.total_ns as f64 / 1e3;
+        emit(&mut doc, root, ts);
+        ts += root.total_ns;
     }
-    if !events.is_empty() {
-        events.push(',');
-    }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{events}\
-         {{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"merged call tree\"}}}}]}}"
-    )
+    doc.finish()
 }
 
 /// Render the snapshot as collapsed stacks (`a;b;c <self_us>` per line),
@@ -855,10 +786,10 @@ mod tests {
         assert_eq!(snap.self_total_ns(), snap.total_ns());
         assert_eq!(snap.count_of("unit.inner"), 6);
         // The flat view keys by path.
-        let flat = &report.profiling;
-        assert!(flat.contains_key("unit.outer"));
-        assert!(flat.contains_key("unit.outer/unit.inner"));
-        assert_eq!(flat["unit.outer/unit.inner"].count, 6);
+        let flat = snap.hotspots();
+        let row = |path: &str| flat.iter().find(|h| h.path == path);
+        assert!(row("unit.outer").is_some());
+        assert_eq!(row("unit.outer/unit.inner").map(|h| h.count), Some(6));
     }
 
     #[test]
@@ -872,11 +803,11 @@ mod tests {
         let session = profiled_session();
         recurse(2);
         let report = session.finish();
-        let flat = report.profiling;
-        assert!(flat.contains_key("unit.recurse"));
-        assert!(flat.contains_key("unit.recurse/unit.recurse"));
-        assert!(flat.contains_key("unit.recurse/unit.recurse/unit.recurse"));
-        assert_eq!(flat["unit.recurse"].count, 1);
+        let flat = report.perf.hotspots();
+        let count = |path: &str| flat.iter().find(|h| h.path == path).map(|h| h.count);
+        assert!(count("unit.recurse/unit.recurse").is_some());
+        assert!(count("unit.recurse/unit.recurse/unit.recurse").is_some());
+        assert_eq!(count("unit.recurse"), Some(1));
     }
 
     #[test]
@@ -953,7 +884,15 @@ mod tests {
             .get("traceEvents")
             .and_then(|v| v.as_array())
             .expect("traceEvents array");
-        assert!(events.len() >= 3, "two X events plus metadata");
+        // One complete event per scope, each with the `ts` and `pid`
+        // trace viewers require.
+        let name = |ev: &Value| ev.get("name").and_then(|v| v.as_str()).map(str::to_string);
+        let names: Vec<_> = events.iter().filter_map(name).collect();
+        assert_eq!(names, ["unit.export.outer", "unit.export.inner"], "{trace}");
+        for ev in events {
+            assert_eq!(ev.get("ph").and_then(|v| v.as_str()), Some("X"), "{trace}");
+            assert!(ev.get("ts").is_some() && ev.get("pid").is_some(), "{trace}");
+        }
         let folded = collapsed_stacks(&report.perf);
         assert!(
             folded
@@ -974,9 +913,9 @@ mod tests {
             let _s = scope("unit.fmt");
         }
         let report = session.finish();
-        let text = summarise(&report.profiling);
+        let text = summarise(&report.perf);
         assert!(text.contains("unit.fmt"));
         assert!(text.contains("self_ms"));
-        assert!(summarise(&ProfileSnapshot::new()).is_empty());
+        assert!(summarise(&PerfSnapshot::default()).is_empty());
     }
 }

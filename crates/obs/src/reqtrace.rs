@@ -9,10 +9,9 @@
 //!
 //! ## Determinism contract
 //!
-//! The same arena discipline as [`crate::perf`]: each worker thread owns
-//! a private shard of the [`TraceCollector`] (its mutex is never
-//! contended — exactly one thread pushes to it), and the export step
-//! merges shards in *trace-id order*, never thread-completion order. The
+//! Every worker hands its kept traces to one [`TraceCollector`] list,
+//! taking its lock once per kept trace, and the export step sorts that
+//! list by *trace id*, never by thread-completion order. The
 //! [canonical export](TraceCollector::export_canonical) strips every
 //! wall-clock field, so for a deterministic request stream the sampled
 //! span set is byte-identical across any worker count.
@@ -28,8 +27,10 @@
 //! is a pure function of the trace, so two runs over the same request
 //! stream sample the same set.
 
+use crate::json;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// 64-bit SplitMix finaliser — the trace-id deriver and the sampling
@@ -446,74 +447,31 @@ pub struct SampledTrace {
     pub decision: SampleDecision,
 }
 
-/// A shard handle owned by exactly one worker thread — its mutex is
-/// uncontended by construction (the only other locker is the export
-/// path after the workers have quiesced).
-#[derive(Clone)]
-pub struct TraceSink {
-    shard: Arc<Mutex<Vec<SampledTrace>>>,
-    sampler: TailSampler,
-    recorded: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
+/// The per-server trace store: every kept trace, sorted at export.
+#[derive(Default)]
+pub struct TraceCollector {
+    kept: Mutex<Vec<SampledTrace>>,
+    recorded: AtomicU64,
+    dropped: AtomicU64,
 }
 
-impl TraceSink {
-    /// Sample and (if kept) record one finished request. Returns the
-    /// sampling decision so callers can stamp it into access logs.
-    pub fn record(&self, record: ReqRecord) -> SampleDecision {
-        let decision = self.sampler.decide(&record);
+impl TraceCollector {
+    /// An empty collector.
+    pub fn new() -> TraceCollector {
+        TraceCollector::default()
+    }
+
+    /// Count one finished request and keep it when the sampler's
+    /// `decision` says so.
+    pub fn record(&self, record: ReqRecord, decision: SampleDecision) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         if decision.keep() {
-            self.shard
+            self.kept
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .push(SampledTrace { record, decision });
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        decision
-    }
-
-    /// Classify without recording — for callers that only need the
-    /// would-be decision (e.g. when collection is disarmed but access
-    /// logs still print the sampling column).
-    pub fn decide(&self, record: &ReqRecord) -> SampleDecision {
-        self.sampler.decide(record)
-    }
-}
-
-/// The per-server trace store: a registry of per-thread shards merged
-/// deterministically at export.
-pub struct TraceCollector {
-    sampler: TailSampler,
-    shards: Mutex<Vec<Arc<Mutex<Vec<SampledTrace>>>>>,
-    recorded: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
-}
-
-impl TraceCollector {
-    /// An empty collector with the given sampling policy.
-    pub fn new(sampler: TailSampler) -> TraceCollector {
-        TraceCollector {
-            sampler,
-            shards: Mutex::new(Vec::new()),
-            recorded: Arc::new(AtomicU64::new(0)),
-            dropped: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Register a new shard for one worker thread.
-    pub fn register(&self) -> TraceSink {
-        let shard = Arc::new(Mutex::new(Vec::new()));
-        self.shards
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(Arc::clone(&shard));
-        TraceSink {
-            shard,
-            sampler: self.sampler,
-            recorded: Arc::clone(&self.recorded),
-            dropped: Arc::clone(&self.dropped),
         }
     }
 
@@ -526,15 +484,11 @@ impl TraceCollector {
         )
     }
 
-    /// Merge every shard into one deterministically ordered list:
-    /// sorted by `(trace id, route, status)` — never by thread or
-    /// completion order, so the result is independent of worker count.
+    /// Every kept trace in one deterministically ordered list: sorted by
+    /// `(trace id, route, status)` — never by thread or completion
+    /// order, so the result is independent of worker count.
     pub fn sampled(&self) -> Vec<SampledTrace> {
-        let shards = self.shards.lock().unwrap_or_else(|p| p.into_inner());
-        let mut all: Vec<SampledTrace> = shards
-            .iter()
-            .flat_map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).clone())
-            .collect();
+        let mut all = self.kept.lock().unwrap_or_else(|p| p.into_inner()).clone();
         all.sort_by(|a, b| {
             (a.record.trace_id, &a.record.route, a.record.status).cmp(&(
                 b.record.trace_id,
@@ -549,21 +503,26 @@ impl TraceCollector {
     /// offsets included (not reproducible across runs — use
     /// [`export_canonical`](Self::export_canonical) for goldens).
     pub fn export_jsonl(&self) -> String {
+        let quoted = |s: &str| {
+            let mut q = String::with_capacity(s.len() + 2);
+            json::write_str(&mut q, s);
+            q
+        };
         let mut out = String::new();
         for t in self.sampled() {
             let r = &t.record;
             out.push_str(&format!(
-                "{{\"trace_id\":\"{}\",\"client_supplied\":{},\"route\":\"{}\",\
-                 \"status\":{},\"class\":\"{}\",\"chaos_key\":\"{}\",\"breaker\":\"{}\",\
+                "{{\"trace_id\":\"{}\",\"client_supplied\":{},\"route\":{},\
+                 \"status\":{},\"class\":\"{}\",\"chaos_key\":{},\"breaker\":{},\
                  \"breaker_transition\":{},\"degraded\":{},\"deadline_remaining_ms\":{},\
                  \"queue_us\":{},\"total_us\":{},\"sampled\":\"{}\",\"spans\":[",
                 r.trace_id.as_hex(),
                 r.client_supplied,
-                json_escape(&r.route),
+                quoted(&r.route),
                 r.status,
                 r.class(),
-                json_escape(&r.chaos_key),
-                json_escape(&r.breaker),
+                quoted(&r.chaos_key),
+                quoted(&r.breaker),
                 r.breaker_transition,
                 r.degraded,
                 r.deadline_remaining_ms,
@@ -591,32 +550,25 @@ impl TraceCollector {
     /// Chrome `trace_event` export (`chrome://tracing`, Perfetto): one
     /// complete (`ph: "X"`) event per span, one tid per trace.
     pub fn export_chrome(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
+        let mut doc = json::ChromeTrace::new();
         for (tid, t) in self.sampled().iter().enumerate() {
             let r = &t.record;
             for span in &r.spans {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\
-                     \"dur\":{},\"args\":{{\"trace_id\":\"{}\",\"route\":\"{}\",\
-                     \"status\":{},\"sampled\":\"{}\"}}}}",
-                    span.name,
-                    tid,
-                    span.start_us,
-                    span.end_us.saturating_sub(span.start_us),
-                    r.trace_id.as_hex(),
-                    json_escape(&r.route),
-                    r.status,
-                    t.decision.label(),
-                ));
+                let dur_us = span.end_us.saturating_sub(span.start_us);
+                let (ts_ns, dur_ns) = (span.start_us * 1_000, dur_us * 1_000);
+                doc.complete("request", span.name, tid as u64, ts_ns, dur_ns, |args| {
+                    let _ = write!(args, "\"trace_id\":\"{}\",\"route\":", r.trace_id.as_hex());
+                    json::write_str(args, &r.route);
+                    let _ = write!(
+                        args,
+                        ",\"status\":{},\"sampled\":\"{}\"",
+                        r.status,
+                        t.decision.label()
+                    );
+                });
             }
         }
-        out.push_str("\n]\n");
-        out
+        doc.finish()
     }
 
     /// Timing-free canonical projection: one line per sampled trace
@@ -651,22 +603,6 @@ impl TraceCollector {
         }
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -847,19 +783,21 @@ mod tests {
 
     #[test]
     fn collector_merge_is_shard_order_independent() {
+        // Two workers record the same traces, distributed and ordered
+        // differently per run.
         let make = |order: &[u64]| {
-            let collector = TraceCollector::new(TailSampler {
-                seed: 0,
-                keep_1_in: 1,
-                tail_latency_ms: f64::INFINITY,
+            let collector = TraceCollector::new();
+            std::thread::scope(|s| {
+                for worker in 0..2 {
+                    let collector = &collector;
+                    s.spawn(move || {
+                        for &id in order.iter().skip(worker).step_by(2) {
+                            let r = record(200, 10, TraceId::derive(5, id, 0));
+                            collector.record(r, SampleDecision::KeepSampled);
+                        }
+                    });
+                }
             });
-            // Two shards, traces distributed differently per run.
-            let a = collector.register();
-            let b = collector.register();
-            for (i, &id) in order.iter().enumerate() {
-                let sink = if i % 2 == 0 { &a } else { &b };
-                sink.record(record(200, 10, TraceId::derive(5, id, 0)));
-            }
             collector.export_canonical()
         };
         let forward = make(&[1, 2, 3, 4, 5]);
@@ -870,22 +808,27 @@ mod tests {
 
     #[test]
     fn exports_carry_the_join_keys() {
-        let collector = TraceCollector::new(TailSampler::default());
-        let sink = collector.register();
+        let collector = TraceCollector::new();
         let id = TraceId::derive(2, 9, 0);
         let mut shed = record(429, 77, id);
         shed.route = "shed".to_string();
-        assert_eq!(sink.record(shed), SampleDecision::KeepError);
+        let decision = TailSampler::default().decide(&shed);
+        assert_eq!(decision, SampleDecision::KeepError);
+        collector.record(shed, decision);
+        collector.record(record(200, 10, id), SampleDecision::Drop);
         let jsonl = collector.export_jsonl();
         assert!(jsonl.contains(&id.as_hex()), "{jsonl}");
         assert!(jsonl.contains("\"class\":\"429\""), "{jsonl}");
         assert!(jsonl.contains("\"sampled\":\"error\""), "{jsonl}");
         let chrome = collector.export_chrome();
-        assert!(chrome.starts_with('['));
-        assert!(chrome.trim_end().ends_with(']'));
+        assert!(
+            chrome.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
+            "{chrome}"
+        );
+        assert!(chrome.ends_with("]}"), "{chrome}");
         let canonical = collector.export_canonical();
         assert!(canonical.contains("class=429"), "{canonical}");
-        assert_eq!(collector.totals(), (1, 0));
+        assert_eq!(collector.totals(), (2, 1));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::event::Event;
 use crate::ledger::LedgerEntry;
 use crate::level::Level;
 use crate::metrics::{self, MetricsSnapshot};
-use crate::perf::{self, PerfSnapshot, ProfileSnapshot};
+use crate::perf::{self, PerfSnapshot};
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -201,13 +201,11 @@ impl Session {
         events.sort_by(|a, b| a.0.cmp(&b.0));
         let mut ledger = collected.ledger;
         ledger.sort_by(|a, b| a.0.cmp(&b.0));
-        let perf = perf::snapshot();
         let report = ObsReport {
             events,
             ledger,
             metrics: metrics::snapshot(),
-            profiling: perf.flatten(),
-            perf,
+            perf: perf::snapshot(),
         };
         metrics::reset_global();
         perf::reset_global();
@@ -243,9 +241,6 @@ pub struct ObsReport {
     pub ledger: Vec<(String, LedgerEntry)>,
     /// Deterministic metrics snapshot.
     pub metrics: MetricsSnapshot,
-    /// Flat per-stage wall-clock profile, keyed by call-tree path (not
-    /// reproducible; never in traces). Derived from [`ObsReport::perf`].
-    pub profiling: ProfileSnapshot,
     /// Hierarchical wall-clock call tree with profiler counters (not
     /// reproducible; never in traces).
     pub perf: PerfSnapshot,
@@ -293,33 +288,15 @@ impl ObsReport {
         write_with_context(path, &self.ledger_jsonl())
     }
 
-    /// Write the metrics snapshot (plus the profiling section) as a JSON
-    /// document to `path`, creating parent directories on demand.
+    /// Write the metrics snapshot as a JSON document to `path`, creating
+    /// parent directories on demand.
     ///
-    /// Layout: `{"counters":{…},"gauges":{…},"histograms":{…},
-    /// "profiling":{…}}`. Counters/histograms are seed-deterministic;
-    /// gauges may carry wall-clock data and `profiling` always does.
+    /// Layout: `{"counters":{…},"gauges":{…},"histograms":{…}}`.
+    /// Counters/histograms are seed-deterministic; gauges may carry
+    /// wall-clock data. The wall-clock profile is [`ObsReport::perf`].
     pub fn write_metrics_json(&self, path: &Path) -> io::Result<()> {
-        write_with_context(path, &self.metrics_json())
-    }
-
-    /// The JSON document written by [`ObsReport::write_metrics_json`].
-    pub fn metrics_json(&self) -> String {
-        use serde::{Serialize, Value};
-        // The metrics snapshot keeps its own serde schema (and round-trip);
-        // the file adds the wall-clock profiling appendix alongside it.
-        struct Raw(Value);
-        impl Serialize for Raw {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        let mut root = match self.metrics.to_value() {
-            Value::Object(pairs) => pairs,
-            other => vec![("metrics".to_string(), other)],
-        };
-        root.push(("profiling".to_string(), self.profiling.to_value()));
-        serde_json::to_string(&Raw(Value::Object(root))).expect("metrics snapshot serialises")
+        let json = serde_json::to_string(&self.metrics).expect("metrics snapshot serialises");
+        write_with_context(path, &json)
     }
 }
 
@@ -358,25 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_has_metrics_and_profiling_sections() {
-        let session = Session::install(ObsConfig {
-            metrics: true,
-            profiling: true,
-            ..ObsConfig::default()
-        });
-        crate::metrics::counter_add("migration.runs", 2);
-        {
-            let _t = crate::perf::scope("unit.stage");
-        }
-        let report = session.finish();
-        let json = report.metrics_json();
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"migration.runs\":2"));
-        assert!(json.contains("\"profiling\""));
-        assert!(json.contains("\"unit.stage\""));
-    }
-
-    #[test]
     fn trace_files_are_written_with_parent_dirs() {
         let session = Session::install(ObsConfig {
             trace: true,
@@ -398,7 +356,6 @@ mod tests {
             events: Vec::new(),
             ledger: Vec::new(),
             metrics: MetricsSnapshot::default(),
-            profiling: ProfileSnapshot::default(),
             perf: PerfSnapshot::default(),
         };
         let err = report

@@ -33,7 +33,7 @@
 //! request). The trace id is echoed on every response as
 //! `x-wavm3-trace-id` and embedded in every error body, the access log
 //! gets one line per request, and [`crate::telemetry::Telemetry`]
-//! tail-samples the span trees into per-worker shards exported at drain.
+//! tail-samples the span trees into one collector exported at drain.
 
 use crate::api::{kind_label, ApiRequest, ErrorResponse, PlanResponse, PredictResponse};
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
@@ -52,7 +52,7 @@ use wavm3_harness::Wavm3Error;
 use wavm3_migration::MigrationKind;
 use wavm3_models::{EnergyModel, HostRole, Wavm3Model};
 use wavm3_obs::metrics::{buckets, Registry};
-use wavm3_obs::reqtrace::{ReqTrace, TraceSink};
+use wavm3_obs::reqtrace::ReqTrace;
 use wavm3_obs::slo::{DriftState, SloReport};
 
 /// Per-connection I/O timeout (keeps a wedged peer from pinning a worker).
@@ -263,7 +263,7 @@ impl ServerHandle {
     /// Timing-free canonical projection of the sampled traces so far
     /// (`None` when tracing is disarmed). Only complete after
     /// [`join`](Self::join)-style quiescence — a response can reach the
-    /// client a beat before its trace record lands in the shard.
+    /// client a beat before its trace record lands in the collector.
     pub fn canonical_trace_export(&self) -> Option<String> {
         self.shared.telemetry.canonical_export()
     }
@@ -442,9 +442,6 @@ fn accept_loop(
         accepted: 0,
         shed: 0,
     };
-    // The accept thread owns its own trace shard — shed requests are
-    // traced too (they are exactly the errors tail sampling must keep).
-    let sink = shared.telemetry.register_sink();
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -457,7 +454,7 @@ fn accept_loop(
                     PushOutcome::Queued => {}
                     PushOutcome::Full(job) | PushOutcome::Closed(job) => {
                         stats.shed += 1;
-                        shed(job, &shared, sink.as_ref());
+                        shed(job, &shared);
                     }
                 }
             }
@@ -480,7 +477,7 @@ fn accept_loop(
 /// accept thread) before the response is written: closing a socket with
 /// unread bytes in its receive buffer sends an RST, which would destroy
 /// the very 429 the client is supposed to see.
-fn shed(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
+fn shed(mut job: Job, shared: &Shared) {
     shared.registry.counter_add("serve.shed", 1);
     let _ = job.stream.set_write_timeout(Some(IO_TIMEOUT));
     let request = read_request(&mut Budgeted {
@@ -520,19 +517,17 @@ fn shed(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
     trace.enter("respond");
     let _ = response.write_to(&mut job.stream);
     trace.exit();
-    shared.telemetry.finish(&shared.registry, sink, trace);
+    shared.telemetry.finish(&shared.registry, trace);
 }
 
 fn worker_loop(queue: Arc<BoundedQueue<Job>>, shared: Arc<Shared>) {
-    // One trace shard per worker: the shard mutex is never contended.
-    let sink = shared.telemetry.register_sink();
     while let Some(job) = queue.pop() {
-        handle_connection(job, &shared, sink.as_ref());
+        handle_connection(job, &shared);
         shared.completed.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-fn handle_connection(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
+fn handle_connection(mut job: Job, shared: &Shared) {
     let _ = job.stream.set_write_timeout(Some(IO_TIMEOUT));
     let queue_us = job.accepted_at.elapsed().as_micros() as u64;
     // The request's own `x-wavm3-deadline-ms` is in its head, so the head
@@ -574,7 +569,7 @@ fn handle_connection(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
             trace.enter("respond");
             let _ = response.write_to(&mut job.stream);
             trace.exit();
-            shared.telemetry.finish(&shared.registry, sink, trace);
+            shared.telemetry.finish(&shared.registry, trace);
             return;
         }
     };
@@ -647,7 +642,7 @@ fn handle_connection(mut job: Job, shared: &Shared, sink: Option<&TraceSink>) {
             shared.chaos_dropped.fetch_add(1, Ordering::SeqCst);
         }
     }
-    shared.telemetry.finish(&shared.registry, sink, trace);
+    shared.telemetry.finish(&shared.registry, trace);
 }
 
 /// `/predict` and `/plan`. Returns `None` when chaos drops the connection.

@@ -1,11 +1,9 @@
 //! Per-request telemetry glue: trace lifecycle, RED recording, access
 //! logs, exemplars, drift, and drain-time exports.
 //!
-//! [`Telemetry`] is the one object the server threads share. Each
-//! worker registers its own [`TraceSink`] shard (PR 7 arena
-//! discipline — the shard mutex is uncontended by construction), and
-//! every finished request flows through [`Telemetry::finish`], which
-//! fans the record out to:
+//! [`Telemetry`] is the one object the server threads share. Every
+//! finished request flows through [`Telemetry::finish`], which samples
+//! it once and fans the record out to:
 //!
 //! * the **RED families** `serve.red.{route}.{class}.duration_ms`
 //!   (only for real work routes — `/metrics`, `/healthz` and the debug
@@ -30,7 +28,7 @@ use wavm3_harness::Wavm3Error;
 use wavm3_models::paper::TABLE_VII_NRMSE;
 use wavm3_obs::metrics::{buckets, Registry};
 use wavm3_obs::reqtrace::{
-    resolve, ReqRecord, ReqTrace, SampleDecision, TailSampler, TraceCollector, TraceId, TraceSink,
+    resolve, ReqRecord, ReqTrace, SampleDecision, TailSampler, TraceCollector, TraceId,
 };
 use wavm3_obs::slo::{self, DriftMonitor, DriftState, SloConfig, SloReport, ERROR_CLASSES};
 
@@ -112,9 +110,7 @@ impl Telemetry {
             })?;
         }
         Ok(Telemetry {
-            collector: opts
-                .tracing_armed()
-                .then(|| TraceCollector::new(opts.sampler)),
+            collector: opts.tracing_armed().then(TraceCollector::new),
             sampler: opts.sampler,
             access,
             drift: DriftMonitor::new(opts.drift, table_vii_baselines(), 11.8),
@@ -123,13 +119,6 @@ impl Telemetry {
             fallback_nonce: opts.sampler.seed ^ 0x7a3e_77a7_5e12_f00d,
             fallback_counter: AtomicU64::new(0),
         })
-    }
-
-    /// Register a per-thread trace shard (`None` when tracing is
-    /// disarmed — the access log's sampling column then uses
-    /// [`TailSampler::decide`] directly).
-    pub fn register_sink(&self) -> Option<TraceSink> {
-        self.collector.as_ref().map(|c| c.register())
     }
 
     /// Open a request trace: resolve the client's trace headers (never
@@ -163,12 +152,7 @@ impl Telemetry {
 
     /// Close a request: RED + exemplars, access log, trace collection.
     /// Returns the sampling decision (stamped into the access log too).
-    pub fn finish(
-        &self,
-        registry: &Registry,
-        sink: Option<&TraceSink>,
-        trace: ReqTrace,
-    ) -> SampleDecision {
+    pub fn finish(&self, registry: &Registry, trace: ReqTrace) -> SampleDecision {
         let record = trace.finish();
         let total_ms = record.total_us as f64 / 1e3;
         if red_route(&record.route) {
@@ -195,8 +179,8 @@ impl Telemetry {
         }
         let decision = self.sampler.decide(&record);
         self.log_access(&record, decision);
-        if let Some(sink) = sink {
-            sink.record(record);
+        if let Some(collector) = &self.collector {
+            collector.record(record, decision);
         }
         decision
     }
@@ -359,12 +343,12 @@ mod tests {
         let mut ok = tele.begin(None, t0, 5);
         ok.set_route("predict");
         ok.set_status(200);
-        tele.finish(&registry, None, ok);
+        tele.finish(&registry, ok);
 
         let mut scrape = tele.begin(None, t0, 0);
         scrape.set_route("metrics");
         scrape.set_status(200);
-        tele.finish(&registry, None, scrape);
+        tele.finish(&registry, scrape);
 
         let snapshot = registry.snapshot();
         assert!(snapshot
@@ -380,7 +364,7 @@ mod tests {
         let mut shed = tele.begin(None, Instant::now(), 0);
         shed.set_route("predict");
         shed.set_status(429);
-        tele.finish(&registry, None, shed);
+        tele.finish(&registry, shed);
         assert_eq!(status_class(429), "429");
         let exemplars = registry.exemplars();
         let attached = exemplars
@@ -413,7 +397,7 @@ mod tests {
         let mut ok = tele.begin(None, Instant::now(), 1);
         ok.set_route("plan");
         ok.set_status(200);
-        tele.finish(&registry, None, ok);
+        tele.finish(&registry, ok);
         let first = tele.render_metrics(&registry);
         let second = tele.render_metrics(&registry);
         assert_eq!(first, second);

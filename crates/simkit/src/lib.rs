@@ -1,8 +1,8 @@
-//! # wavm3-simkit — discrete-event simulation kernel
+//! # wavm3-simkit — deterministic simulation kernel
 //!
-//! Foundation crate for the WAVM3 reproduction: simulation time, a
-//! deterministic event queue, reproducible random-number streams, and
-//! sampled time-series containers.
+//! Foundation crate for the WAVM3 reproduction: simulation time, periodic
+//! sampling grids, reproducible random-number streams, and sampled
+//! time-series containers.
 //!
 //! Everything in this crate is deliberately *deterministic*: two runs with
 //! the same seeds produce bit-identical results regardless of host platform
@@ -12,17 +12,18 @@
 //! ## Example
 //!
 //! ```
-//! use wavm3_simkit::{EventQueue, SimTime};
+//! use wavm3_simkit::{PeriodicSchedule, SimTime, TimeSeries};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::from_secs_f64(2.0), "later");
-//! q.schedule(SimTime::from_secs_f64(1.0), "sooner");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, "sooner");
-//! assert_eq!(t.as_secs_f64(), 1.0);
+//! // A 2 Hz power meter reading a constant 100 W for 10 s.
+//! let meter = PeriodicSchedule::two_hz();
+//! let mut watts = TimeSeries::new();
+//! for n in 0..=20 {
+//!     watts.push(meter.instant(n), 100.0);
+//! }
+//! assert_eq!(watts.end(), Some(SimTime::from_secs(10)));
+//! assert!((watts.integrate() - 1_000.0).abs() < 1e-9); // joules
 //! ```
 
-pub mod event;
 pub mod interval;
 pub mod periodic;
 pub mod probe;
@@ -30,7 +31,6 @@ pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use event::EventQueue;
 pub use interval::Interval;
 pub use periodic::PeriodicSchedule;
 pub use rng::{CounterRng, RngFactory, StreamRng};

@@ -1,29 +1,9 @@
 //! Property-based tests of the simulation kernel.
 
 use proptest::prelude::*;
-use wavm3_simkit::{EventQueue, RngFactory, SimDuration, SimTime, TimeSeries};
+use wavm3_simkit::{RngFactory, SimDuration, SimTime, TimeSeries};
 
 proptest! {
-    #[test]
-    fn event_queue_pops_sorted_stable(events in prop::collection::vec((0u64..1_000, 0u32..100), 0..128)) {
-        let mut q = EventQueue::new();
-        for (i, &(t, tag)) in events.iter().enumerate() {
-            q.schedule(SimTime::from_millis(t), (tag, i));
-        }
-        let mut popped = Vec::new();
-        while let Some((t, payload)) = q.pop() {
-            popped.push((t, payload));
-        }
-        prop_assert_eq!(popped.len(), events.len());
-        // Sorted by time; FIFO (insertion index) within equal times.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 .1 < w[1].1 .1, "FIFO violated at {:?}", w);
-            }
-        }
-    }
-
     #[test]
     fn integration_is_additive(
         samples in prop::collection::vec((0u64..10_000, 0.0f64..1_000.0), 2..64),
