@@ -18,11 +18,13 @@
 //! decisions from the same inputs.
 //!
 //! The engines differ in one host-state decision, made when they build the
-//! slots: the analytic engine reads each workload's closed forms
-//! (`demand_profile()`), the sampled engine none
-//! (`WorkloadProfile::general()`), so every value it uses is a trait call.
-//! Beyond that each keeps only its integrator — the sampled engine samples
-//! 2 Hz meters, the analytic engine integrates each tick's power exactly.
+//! slots from each workload's closed forms (`demand_profile()`). Both take
+//! its constants: a constant demand, write rate or line share. For a demand
+//! curve that moves, the sampled engine calls the trait every tick
+//! ([`sampled_profile`]), and the analytic engine advances a ripple by a
+//! rotation recurrence instead. Beyond that each keeps only its integrator
+//! — the sampled engine samples 2 Hz meters, the analytic engine
+//! integrates each tick's power exactly.
 //! The per-tick calls both loops make are `#[inline(always)]`: left to the
 //! compiler they stayed out of line and cost constant-host campaigns ~5 %.
 
@@ -1115,6 +1117,22 @@ impl HostState {
     }
 }
 
+/// The sampled engine's closed-form choice: `w`'s `demand_profile()`,
+/// with every demand curve that moves (a ripple, or no closed form) left
+/// to a `cpu_demand` call per tick. Constant demands and the write-rate
+/// and line-share folds are taken as they are; the trait's contract makes
+/// each agree bitwise with the method it replaces.
+pub(crate) fn sampled_profile(w: &dyn Workload) -> WorkloadProfile {
+    let profile = w.demand_profile();
+    match profile.cpu {
+        DemandProfile::Constant(_) => profile,
+        DemandProfile::Ripple { .. } | DemandProfile::General => WorkloadProfile {
+            cpu: DemandProfile::General,
+            ..profile
+        },
+    }
+}
+
 /// Both endpoints' host state, and where the migrant's slot sits.
 pub(crate) struct Hosts {
     pub(crate) src: HostState,
@@ -1126,8 +1144,9 @@ pub(crate) struct Hosts {
 impl Hosts {
     /// Build both endpoints' slot arrays in `arena`'s buffers, with ripple
     /// curves positioned at `t0`. `profile_of` is the engine's closed-form
-    /// choice: each workload's `demand_profile()`, or
-    /// `WorkloadProfile::general()` for a trait call per value.
+    /// choice: each workload's `demand_profile()`, whose ripples become
+    /// rotation recurrences, or [`sampled_profile`], which keeps only its
+    /// constants and leaves every moving curve to a trait call per tick.
     pub(crate) fn new(
         sim: &MigrationSimulation,
         t0: SimTime,

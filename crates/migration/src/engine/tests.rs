@@ -15,8 +15,9 @@ fn vm() -> impl Strategy<Value = (u32, u8, u8, f64)> {
 proptest! {
     /// The slots fold the cluster's Eq. 2 — the same running count,
     /// `vm_cores` and allocation with the migration's cores added —
-    /// and keep its placement order across a relocation. The slots
-    /// read each workload through its trait calls only.
+    /// and keep its placement order across a relocation. The slots are
+    /// the sampled engine's: profile constants, and a trait call per tick
+    /// for each demand curve that moves.
     #[test]
     fn slots_follow_the_clusters_eq2(
         src_vms in prop::collection::vec(vm(), 1..10),
@@ -54,7 +55,7 @@ proptest! {
         );
         let mut arena = RunSlot::default();
         let mut mech = Mechanism::new(&sim, &rng, &mut arena);
-        let mut hosts = Hosts::new(&sim, now, |_| WorkloadProfile::general(), &mut arena);
+        let mut hosts = Hosts::new(&sim, now, sampled_profile, &mut arena);
 
         for relocate in [false, true] {
             if relocate {

@@ -12,7 +12,7 @@
 
 use crate::analytic::Tape;
 use crate::config::{EnvNoise, MigrationConfig, SimulationPath};
-use crate::engine::{Hosts, Mechanism, RunSlot, Stage, HORIZON};
+use crate::engine::{sampled_profile, Hosts, Mechanism, RunSlot, Stage, HORIZON};
 use crate::record::{FeatureSample, MigrationRecord};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -24,7 +24,7 @@ use wavm3_power::{
     PowerMeter, PowerTerms, PowerTrace, TelemetryRecorder,
 };
 use wavm3_simkit::{RngFactory, SimDuration, SimTime};
-use wavm3_workloads::{Workload, WorkloadProfile};
+use wavm3_workloads::Workload;
 
 /// Page-write rate treated as 100 % memory-bus contention (pages/s).
 pub const PEAK_PAGE_WRITE_RATE: f64 = 250_000.0;
@@ -36,29 +36,32 @@ const TAIL_STABILITY_TOLERANCE: f64 = 0.015;
 
 /// A slow Ornstein–Uhlenbeck power wander (fans, temperature, background
 /// dom-0 housekeeping): mean-reverting with time constant `tau_s` and
-/// stationary standard deviation `std_w` (both from [`EnvNoise`]).
+/// stationary standard deviation `std_w` (both from [`EnvNoise`]),
+/// stepped every `dt_s` seconds.
 struct PowerWander {
     x: f64,
     tau_s: f64,
-    std_w: f64,
+    dt_s: f64,
+    /// The per-step noise scale `std_w·√(2/τ)·√dt`, fixed for the run.
+    step_std_w: f64,
     rng: wavm3_simkit::StreamRng,
 }
 
 impl PowerWander {
-    fn new(rng: wavm3_simkit::StreamRng, noise: &EnvNoise) -> Self {
+    fn new(rng: wavm3_simkit::StreamRng, noise: &EnvNoise, dt_s: f64) -> Self {
         PowerWander {
             x: 0.0,
             tau_s: noise.wander_tau_s,
-            std_w: noise.wander_std_w,
+            dt_s,
+            step_std_w: (noise.wander_std_w * (2.0 / noise.wander_tau_s).sqrt()) * dt_s.sqrt(),
             rng,
         }
     }
 
-    fn step(&mut self, dt_s: f64) -> f64 {
+    fn step(&mut self) -> f64 {
         use wavm3_simkit::rng::sample_normal;
-        let sigma_w = self.std_w * (2.0 / self.tau_s).sqrt();
-        let noise = sample_normal(&mut self.rng, 0.0, sigma_w * dt_s.sqrt());
-        self.x += -self.x / self.tau_s * dt_s + noise;
+        let noise = sample_normal(&mut self.rng, 0.0, self.step_std_w);
+        self.x += -self.x / self.tau_s * self.dt_s + noise;
         self.x
     }
 }
@@ -274,6 +277,14 @@ impl MigrationSimulation {
     /// The sampled reference engine: step the meter grid tick by tick.
     /// A zero tick is rejected by [`MigrationConfig::validate`] at
     /// construction, so the division by `dt` below is always sound.
+    ///
+    /// The slots take each workload's profile constants (a constant
+    /// demand, a constant write rate or line share) and query the trait
+    /// at every tick for each demand curve that moves
+    /// ([`sampled_profile`]); a profile agrees bitwise with its trait
+    /// methods, so the slots see exactly the values the trait gives.
+    /// What is fixed for the run is worked out once: the wander's noise
+    /// scale, and the tail's stability verdict between meter readings.
     fn run_sampled(&self, rng: RngFactory, slot: &mut RunSlot) -> MigrationRecord {
         let _perf = wavm3_obs::perf::scope("migration.run.sampled");
         let mut mech = Mechanism::new(self, &rng, slot);
@@ -282,12 +293,12 @@ impl MigrationSimulation {
         let dt_s = dt.as_secs_f64();
         let migrant_total_pages = mech.migrant_ram_bytes / PAGE_SIZE_BYTES;
         let (src_power, dst_power) = (mech.src_power, mech.dst_power);
-        let mut hosts = Hosts::new(self, SimTime::ZERO, |_| WorkloadProfile::general(), slot);
+        let mut hosts = Hosts::new(self, SimTime::ZERO, sampled_profile, slot);
 
         // Per-run slow wander (see PowerWander) and the 2 Hz meters.
         let noise = cfg.env_noise;
-        let mut src_wander = PowerWander::new(rng.stream("wander.source"), &noise);
-        let mut dst_wander = PowerWander::new(rng.stream("wander.target"), &noise);
+        let mut src_wander = PowerWander::new(rng.stream("wander.source"), &noise, dt_s);
+        let mut dst_wander = PowerWander::new(rng.stream("wander.target"), &noise, dt_s);
         let mut src_meter = PowerMeter::new(
             mech.src_name.clone(),
             src_power.noise_std_w,
@@ -308,6 +319,9 @@ impl MigrationSimulation {
         let mut dst_attrib = TermTraces::new();
         let mut telemetry = TelemetryRecorder::new();
         let mut samples: Vec<FeatureSample> = Vec::new();
+        // The tail's stability verdict and the meter-trace length it was
+        // taken at: the traces only change when the meters read.
+        let mut tail_stable = (usize::MAX, false);
 
         let mut now = SimTime::ZERO;
         while mech.stage != Stage::Finished {
@@ -320,15 +334,16 @@ impl MigrationSimulation {
                 let me = mech.me().expect("me set in the tail");
                 let min_end = me + cfg.timing.post_run_min;
                 let max_end = me + cfg.timing.post_run_max;
-                let stable = src_meter
-                    .trace()
-                    .series
-                    .is_stable(20, TAIL_STABILITY_TOLERANCE)
-                    && dst_meter
-                        .trace()
-                        .series
-                        .is_stable(20, TAIL_STABILITY_TOLERANCE);
-                if (now >= min_end && stable) || now >= max_end {
+                // Both meters read at the same instants, so the source
+                // trace's length keys both verdicts.
+                let readings = src_meter.trace().series.len();
+                if tail_stable.0 != readings {
+                    let stable = |meter: &PowerMeter| {
+                        meter.trace().series.is_stable(20, TAIL_STABILITY_TOLERANCE)
+                    };
+                    tail_stable = (readings, stable(&src_meter) && stable(&dst_meter));
+                }
+                if (now >= min_end && tail_stable.1) || now >= max_end {
                     // Leave before this tick's meter samples: the trace
                     // already covers the whole window.
                     mech.stage = Stage::Finished;
@@ -375,10 +390,8 @@ impl MigrationSimulation {
                 mem_activity: mem_activity(dst_wr),
                 service_w: svc_dst,
             };
-            let p_src =
-                (ground_truth_power(&src_power, src_inputs) + src_wander.step(dt_s)).max(0.0);
-            let p_dst =
-                (ground_truth_power(&dst_power, dst_inputs) + dst_wander.step(dt_s)).max(0.0);
+            let p_src = (ground_truth_power(&src_power, src_inputs) + src_wander.step()).max(0.0);
+            let p_dst = (ground_truth_power(&dst_power, dst_inputs) + dst_wander.step()).max(0.0);
             truth_src.record(now, p_src);
             truth_dst.record(now, p_dst);
 

@@ -39,10 +39,15 @@ impl TelemetryRecorder {
         TelemetryRecorder::default()
     }
 
-    /// Record one sample on `channel` (creating it on first use).
+    /// Record one sample on `channel` (creating it on first use). Only
+    /// the first sample of a channel allocates its name.
     pub fn record(&mut self, channel: &str, t: SimTime, value: f64) {
+        if let Some(series) = self.channels.get_mut(channel) {
+            series.push(t, value);
+            return;
+        }
         self.channels
-            .entry(channel.to_string())
+            .entry(channel.to_owned())
             .or_default()
             .push(t, value);
     }

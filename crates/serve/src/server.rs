@@ -43,7 +43,7 @@ use crate::http::{read_body, read_head, read_request, Request, Response};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::telemetry::{route_label, Telemetry};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -91,6 +91,25 @@ impl Read for Budgeted<'_> {
         self.stream.set_read_timeout(Some(left.min(IO_TIMEOUT)))?;
         self.stream.read(buf)
     }
+}
+
+/// Close a connection after its response (RFC 9112 §9.6). Closing a socket
+/// with unread request bytes makes the kernel answer with a reset, which
+/// can destroy the response before the client reads it. So one
+/// non-blocking read looks for such bytes; if it finds any, the write side
+/// is shut down (the client sees the response end) and the rest is read
+/// and discarded until the client closes or `deadline` passes. Otherwise
+/// the socket closes at once.
+fn close_staged(stream: &TcpStream, deadline: Instant) {
+    let mut scratch = [0u8; 4096];
+    let pending = stream.set_nonblocking(true).is_ok()
+        && matches!((&*stream).read(&mut scratch), Ok(n) if n > 0);
+    if !pending || stream.set_nonblocking(false).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut reader = Budgeted { stream, deadline };
+    while matches!(reader.read(&mut scratch), Ok(n) if n > 0) {}
 }
 
 /// Whether a read failed because its budget or timeout ran out.
@@ -544,6 +563,7 @@ fn handle_connection(mut job: Job, shared: &Shared) {
         read_body(&mut reader, &mut request, content_length)?;
         Ok(request)
     });
+    let read_deadline = reader.deadline;
     let request = match read {
         Ok(request) => request,
         Err(e) => {
@@ -570,6 +590,7 @@ fn handle_connection(mut job: Job, shared: &Shared) {
             let _ = response.write_to(&mut job.stream);
             trace.exit();
             shared.telemetry.finish(&shared.registry, trace);
+            close_staged(&job.stream, read_deadline);
             return;
         }
     };
@@ -635,14 +656,16 @@ fn handle_connection(mut job: Job, shared: &Shared) {
             trace.enter("respond");
             let _ = response.write_to(&mut job.stream);
             trace.exit();
+            shared.telemetry.finish(&shared.registry, trace);
+            close_staged(&job.stream, read_deadline);
         }
         // Chaos drop: close without responding (trace status stays 0,
-        // class `drop`).
+        // class `drop`), as abruptly as the fault it injects.
         None => {
             shared.chaos_dropped.fetch_add(1, Ordering::SeqCst);
+            shared.telemetry.finish(&shared.registry, trace);
         }
     }
-    shared.telemetry.finish(&shared.registry, trace);
 }
 
 /// `/predict` and `/plan`. Returns `None` when chaos drops the connection.

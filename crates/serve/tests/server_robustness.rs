@@ -511,3 +511,55 @@ fn a_body_is_read_within_the_request_deadline() {
     );
     handle.join();
 }
+
+/// Send `bytes` in one write and read until the server closes. A reset
+/// instead of a clean close fails the read.
+fn send_and_read_to_end(handle: &ServerHandle, bytes: &[u8]) -> std::io::Result<String> {
+    let mut stream = connect(handle);
+    stream.write_all(bytes)?;
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw)?;
+    Ok(String::from_utf8_lossy(&raw).into_owned())
+}
+
+#[test]
+fn unread_request_bytes_do_not_reset_the_response() {
+    // Closing a socket with unread request bytes makes the kernel send a
+    // reset, which can destroy the response before the client reads it.
+    // The server half-closes and drains instead (RFC 9112 §9.6): a
+    // request followed by 100,000 stray bytes gets its 200, and a
+    // 9,000-byte head, read only up to the cap, gets its 400, each
+    // followed by a clean end of stream.
+    let handle = wavm3_serve::start(quiet()).expect("start");
+    let mut trailing = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".to_vec();
+    trailing.resize(trailing.len() + 100_000, b'x');
+    let start = "GET /healthz HTTP/1.1\r\nx-pad: ";
+    let long_head = format!("{start}{}\r\n\r\n", "a".repeat(9_000 - start.len() - 4));
+    assert_eq!(long_head.len(), 9_000);
+    for (what, bytes, status) in [
+        ("trailing bytes", &trailing[..], "HTTP/1.1 200 "),
+        ("a 9,000-byte head", long_head.as_bytes(), "HTTP/1.1 400 "),
+    ] {
+        let answer = send_and_read_to_end(&handle, bytes)
+            .unwrap_or_else(|e| panic!("{what}: the response did not end cleanly: {e}"));
+        assert!(answer.starts_with(status), "{what}: {answer:?}");
+    }
+    let report = handle.join();
+    assert_eq!(report.accepted, report.completed + report.shed);
+}
+
+#[test]
+fn pipelined_requests_get_one_response_then_a_clean_end() {
+    // Every response carries `connection: close`, so a second request
+    // pipelined behind the first is not answered: the client reads one
+    // response, then the end of the stream.
+    let handle = wavm3_serve::start(quiet()).expect("start");
+    let request = "GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
+    let answer = send_and_read_to_end(&handle, request.repeat(2).as_bytes())
+        .expect("one response, then a clean end");
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer:?}");
+    assert_eq!(answer.matches("HTTP/1.1 ").count(), 1, "{answer:?}");
+    let report = handle.join();
+    assert_eq!(report.accepted, 1);
+    assert_eq!(report.accepted, report.completed + report.shed);
+}

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wavm3_simkit::{RngFactory, SimDuration, SimTime};
 use wavm3_workloads::synthetic::{generate_utilisation, TraceSpec};
 use wavm3_workloads::{
-    MatMulWorkload, MixedWorkload, NetworkWorkload, PageDirtierWorkload, Workload,
+    IdleWorkload, MatMulWorkload, MixedWorkload, NetworkWorkload, PageDirtierWorkload, Workload,
 };
 
 proptest! {
@@ -30,6 +30,47 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&wsf));
             let ls = w.line_share(t);
             prop_assert!((0.0..=1.0).contains(&ls));
+        }
+    }
+
+    /// Every closed form the Table IIa workloads claim in
+    /// `demand_profile()` agrees with their trait methods bit for bit, for
+    /// any parameters and at any microsecond of the simulation horizon.
+    /// The sampled engine reads the constants among them in place of the
+    /// trait, so this contract is what keeps it a reference independent of
+    /// the analytic engine's inputs.
+    #[test]
+    fn closed_form_profiles_agree_with_the_trait_bitwise(
+        vcpus in 0u32..64,
+        cores in -1.0f64..16.0,
+        phase in -2.0f64..2.0,
+        ratio in -0.5f64..1.5,
+        write_rate in 0.0f64..1e6,
+        t_us in 0u64..=3_600_000_000,
+    ) {
+        let t = SimTime::from_micros(t_us);
+        let ws: Vec<Box<dyn Workload>> = vec![
+            Box::new(MatMulWorkload::full(vcpus)),
+            Box::new(MatMulWorkload::with_cores(cores).with_phase(phase)),
+            Box::new(PageDirtierWorkload::with_ratio(ratio).with_write_rate(write_rate)),
+            Box::new(IdleWorkload),
+        ];
+        for w in &ws {
+            let p = w.demand_profile();
+            // A profile that claims no closed form reads `None` and fails.
+            let claims = [
+                ("cpu", p.cpu.eval(t), w.cpu_demand(t)),
+                ("write rate", p.page_write_rate, w.page_write_rate(t)),
+                ("line share", p.line_share, w.line_share(t)),
+            ];
+            for (what, claim, value) in claims {
+                prop_assert_eq!(
+                    claim.map(f64::to_bits),
+                    Some(value.to_bits()),
+                    "{} {} at {} µs: {:?} claimed, {} by the trait",
+                    w.name(), what, t_us, claim, value
+                );
+            }
         }
     }
 
