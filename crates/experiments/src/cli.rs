@@ -1,4 +1,5 @@
-//! Minimal argument parsing shared by the regeneration binaries.
+//! Minimal argument parsing shared by the targets of the
+//! `wavm3-experiments` binary; only `regress` parses flags of its own.
 //!
 //! Flags: `--reps N` (fixed repetitions instead of the paper's variance
 //! rule), `--seed S` (campaign seed), `--out DIR` (CSV output directory,
@@ -39,7 +40,7 @@ pub const EXIT_USAGE: u8 = 2;
 /// Exit code for a campaign that completed with scenario failures.
 pub const EXIT_PARTIAL: u8 = 3;
 
-/// Observability flags shared by every experiment binary.
+/// Observability flags shared by every campaign target.
 #[derive(Debug, Clone, Default)]
 pub struct ObsCliOptions {
     /// `--trace PATH`: write the deterministic JSONL event trace here.
@@ -112,12 +113,8 @@ impl Default for CliOptions {
     }
 }
 
-/// Parse `std::env::args`. Unknown flags abort with a usage message.
-pub fn parse_args() -> CliOptions {
-    parse_from(std::env::args().skip(1))
-}
-
-/// Testable core of [`parse_args`].
+/// Parse a target's flags (the arguments after its name). Unknown flags
+/// abort with a usage message.
 pub fn parse_from(args: impl Iterator<Item = String>) -> CliOptions {
     let mut opts = CliOptions::default();
     let mut it = args.peekable();
@@ -239,7 +236,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <bin> [--reps N] [--seed S] [--out DIR] [--faults] \
+        "usage: wavm3-experiments <target> [--reps N] [--seed S] [--out DIR] [--faults] \
          [--path sampled|analytic] \
          [--trace PATH] [--log-level LVL] [--metrics-out PATH] \
          [--ledger-out PATH] [--html-report PATH] [--profile-out DIR] \
@@ -272,14 +269,17 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { EXIT_USAGE as i32 });
 }
 
-/// Run one experiment binary: parse the shared flags, build the
+/// Run one campaign target: parse its flags from `args`, build the
 /// supervised [`Campaign`] (validating the runner configuration — invalid
 /// configs exit with code 2 before any compute), install the requested
 /// observability session around `body`, write the trace / metrics files
 /// afterwards, and persist the campaign's failure report next to the
 /// checkpoints. A campaign whose scenarios partially failed exits with
 /// code 3; other failures are reported on stderr and exit with code 1.
-pub fn run(body: impl FnOnce(&CliOptions, &Campaign) -> Result<(), Wavm3Error>) -> ExitCode {
+pub fn run(
+    args: impl Iterator<Item = String>,
+    body: impl FnOnce(&CliOptions, &Campaign) -> Result<(), Wavm3Error>,
+) -> ExitCode {
     // Catch SIGINT/SIGTERM instead of dying mid-write: the campaign
     // drains (in-flight scenarios finish and checkpoint, queued ones are
     // skipped as recorded failures) and the run exits with the
@@ -287,7 +287,7 @@ pub fn run(body: impl FnOnce(&CliOptions, &Campaign) -> Result<(), Wavm3Error>) 
     // drain, and keeping `--resume` able to pick up where the interrupt
     // landed.
     wavm3_harness::signal::install();
-    let opts = parse_args();
+    let opts = parse_from(args);
     let campaign = match Campaign::new(opts.runner, opts.supervisor.clone()) {
         Ok(campaign) => campaign,
         Err(e) => {

@@ -10,7 +10,7 @@ use wavm3_power::MigrationPhase;
 
 /// Write `contents` to `path` via the harness's atomic tmp-then-rename
 /// protocol, creating missing parent directories and annotating any I/O
-/// error with the offending path. The regeneration binaries route every
+/// error with the offending path. The experiment targets route every
 /// artefact through this, so an interrupted run never leaves a truncated
 /// CSV behind (a half-written artefact would poison a later `--resume`
 /// diff), and a read-only or missing output directory is reported with

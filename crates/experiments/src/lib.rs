@@ -5,32 +5,37 @@
 //! protocol (≥10 runs, stop when run-variance change < 10 %), assembles
 //! datasets, and regenerates **every table and figure** of the evaluation:
 //!
-//! | target | binary |
+//! | target | what it regenerates or runs |
 //! |---|---|
-//! | Fig. 1 (actors diagram + implementation map) | `--bin fig1` |
-//! | Fig. 2 (phase-annotated traces) | `cargo run -p wavm3-experiments --bin fig2` |
-//! | Fig. 3 (CPULOAD-SOURCE) | `--bin fig3` |
-//! | Fig. 4 (CPULOAD-TARGET) | `--bin fig4` |
-//! | Fig. 5 (MEMLOAD-VM) | `--bin fig5` |
-//! | Fig. 6 (MEMLOAD-SOURCE) | `--bin fig6` |
-//! | Fig. 7 (MEMLOAD-TARGET) | `--bin fig7` |
-//! | Table I (workload impact) | `--bin table1` |
-//! | Table II (setup) | `--bin table2` |
-//! | Tables III/IV (WAVM3 coefficients) | `--bin table3`, `--bin table4` |
-//! | Table V (cross-set NRMSE) | `--bin table5` |
-//! | Table VI (baseline coefficients) | `--bin table6` |
-//! | Table VII (model comparison) | `--bin table7` |
-//! | everything at once | `--bin reproduce_all` |
-//! | NETLOAD extension (network-intensive guests) | `--bin netload` |
-//! | WAVM3 ablation study | `--bin ablation` |
-//! | mechanism comparison incl. post-copy | `--bin mechanisms` |
-//! | per-phase prediction fidelity | `--bin phases` |
-//! | training-fraction sensitivity | `--bin sensitivity` |
-//! | seed-robustness of the orderings | `--bin robustness` |
-//! | JSON/CSV dataset export | `--bin campaign` |
-//! | metrics regression gate | `--bin wavm3-regress` |
+//! | `table1` | Table I: workload impact, with measured evidence |
+//! | `table2` | Table II: experimental setup |
+//! | `table3` | Table III: WAVM3 coefficients, non-live |
+//! | `table4` | Table IV: WAVM3 coefficients, live |
+//! | `table5` | Table V: WAVM3 NRMSE on both machine sets |
+//! | `table6` | Table VI: baseline training coefficients |
+//! | `table7` | Table VII: model comparison |
+//! | `fig1` | Fig. 1: the migration's actors and where each is implemented |
+//! | `fig2` | Fig. 2: phase-annotated power traces |
+//! | `fig3` | Fig. 3: CPULOAD-SOURCE |
+//! | `fig4` | Fig. 4: CPULOAD-TARGET |
+//! | `fig5` | Fig. 5: MEMLOAD-VM |
+//! | `fig6` | Fig. 6: MEMLOAD-SOURCE |
+//! | `fig7` | Fig. 7: MEMLOAD-TARGET |
+//! | `reproduce_all` | Tables I-VII and Figs. 2-7 at once, under OUT/summaries and OUT/fig*.csv |
+//! | `netload` | NETLOAD extension: live migration next to a network-intensive guest |
+//! | `ablation` | ablation study: retrain WAVM3 with each ingredient removed |
+//! | `mechanisms` | mechanism comparison: non-live vs live pre-copy vs post-copy |
+//! | `phases` | per-phase prediction fidelity of WAVM3 |
+//! | `sensitivity` | training-fraction sensitivity of WAVM3 |
+//! | `robustness` | seed robustness of Table VII's orderings (exit 1 if one fails) |
+//! | `campaign` | Table IIa campaign on both machine sets, exported as JSON and CSV |
+//! | `profile` | self-profile the m01-m02 campaign on one thread |
+//! | `regress` | gate a --metrics-out snapshot against a committed baseline |
 //!
-//! Every binary accepts `--reps N` (fixed repetitions) and `--seed S`; the
+//! The crate's one binary, `wavm3-experiments`, runs them: its first
+//! argument names the target (`cargo run --release -p wavm3-experiments
+//! -- table7`), and `--help` lists them. Every target but `regress`
+//! accepts `--reps N` (fixed repetitions) and `--seed S`; the
 //! default follows the paper's variance-rule protocol. The crash-safety
 //! flags `--checkpoint-dir DIR` and `--resume` journal per-scenario
 //! results through `wavm3-harness` and reload them on restart, and

@@ -20,7 +20,7 @@
 //! fixed-point sum, both against the histogram tolerance; a changed
 //! bucket ladder is always a failure.
 //!
-//! The `wavm3-regress` binary wires this to files and exit codes:
+//! `wavm3-experiments regress` wires this to files and exit codes:
 //! `0` pass (warnings allowed), `1` at least one failure, `2` usage.
 
 use std::collections::BTreeMap;
@@ -397,29 +397,6 @@ pub fn snapshot_from_json(text: &str) -> Result<MetricsSnapshot, Wavm3Error> {
     MetricsSnapshot::from_value(node).map_err(|e| Wavm3Error::invalid_input("metrics JSON", e))
 }
 
-/// Read the `"seed"` / `"reps"` stamps a regenerated baseline carries,
-/// so the gate can re-run the identical campaign. Older baselines
-/// without stamps yield `None`.
-pub fn baseline_stamps(text: &str) -> (Option<u64>, Option<usize>) {
-    use serde::Value;
-    struct Raw(Value);
-    impl serde::Deserialize for Raw {
-        fn from_value(v: &Value) -> Result<Self, serde::Error> {
-            Ok(Raw(v.clone()))
-        }
-    }
-    let Ok(Raw(root)) = serde_json::from_str::<Raw>(text) else {
-        return (None, None);
-    };
-    let as_u64 = |v: &Value| match v {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    };
-    let seed = root.get("seed").and_then(&as_u64);
-    let reps = root.get("reps").and_then(&as_u64).map(|n| n as usize);
-    (seed, reps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,7 +540,5 @@ mod tests {
         let nested = format!("{{\"benchmark\":\"x\",\"seed\":7,\"reps\":2,\"metrics\":{flat}}}");
         let parsed = snapshot_from_json(&nested).unwrap();
         assert_eq!(parsed.histograms, snap.histograms);
-        assert_eq!(baseline_stamps(&nested), (Some(7), Some(2)));
-        assert_eq!(baseline_stamps(&flat), (None, None));
     }
 }

@@ -41,8 +41,8 @@ struct ProfileSummary {
     runs: u64,
 }
 
-fn main() -> ExitCode {
-    let opts = cli::parse_args();
+pub fn main(args: Vec<String>) -> ExitCode {
+    let opts = cli::parse_from(args.into_iter());
     let campaign = match Campaign::new(opts.runner, opts.supervisor.clone()) {
         Ok(campaign) => campaign,
         Err(e) => {

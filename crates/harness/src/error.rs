@@ -1,7 +1,7 @@
 //! The workspace error taxonomy.
 //!
 //! One spine type, [`Wavm3Error`], replaces the ad-hoc `String` and
-//! `Box<dyn Error>` plumbing of the experiment binaries. The variants
+//! `Box<dyn Error>` plumbing of the experiment targets. The variants
 //! are the failure classes a long campaign actually hits: invalid
 //! configuration (caught at construction by the `validate()` family),
 //! I/O annotated with the offending path, checkpoint corruption or

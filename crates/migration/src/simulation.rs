@@ -11,7 +11,7 @@
 //! on their own 2 Hz schedule, exactly like the paper's instrumentation.
 
 use crate::analytic::Tape;
-use crate::config::{EnvNoise, MigrationConfig, SimulationPath};
+use crate::config::{EnvNoise, MigrationConfig, MigrationKind, SimulationPath};
 use crate::engine::{sampled_profile, Hosts, Mechanism, RunSlot, Stage, HORIZON};
 use crate::record::{FeatureSample, MigrationRecord};
 use std::collections::BTreeMap;
@@ -148,6 +148,36 @@ pub struct MigrationSimulation {
     pub(crate) tape: OnceLock<Tape>,
 }
 
+/// The most bytes a migration of an `image`-byte migrant can stream. Any
+/// kind sends the image once. A live pre-copy also resends what its guest
+/// dirtied: the dirty set never exceeds the working set (`ws`, whole
+/// pages), a round continues only while its dirty set is under
+/// `stall_ratio` of the pages it sent, and at most `max_rounds` rounds
+/// run. So after the first pass come at most `max_rounds − 1` rounds
+/// bounded by `ws·stall_ratio^k`, then one final round of at most `ws`.
+fn precopy_bound_bytes(
+    config: &MigrationConfig,
+    image: u64,
+    workloads: &BTreeMap<VmId, Arc<dyn Workload>>,
+    migrant: VmId,
+) -> f64 {
+    let pages = (image / PAGE_SIZE_BYTES) as f64;
+    let ws_pages = match workloads.get(&migrant) {
+        Some(w) if config.kind == MigrationKind::Live => (w.working_set_fraction() * pages).ceil(),
+        _ => 0.0,
+    };
+    let (ratio, rounds) = (
+        config.precopy.stall_ratio,
+        (config.precopy.max_rounds - 1) as f64,
+    );
+    let resends = if ratio < 1.0 {
+        (1.0 - ratio.powf(rounds)) / (1.0 - ratio)
+    } else {
+        rounds
+    };
+    image as f64 + ws_pages * (resends + 1.0) * PAGE_SIZE_BYTES as f64
+}
+
 impl MigrationSimulation {
     /// Assemble a scenario. The migrant must already reside on `source`,
     /// and `source != target`.
@@ -176,6 +206,13 @@ impl MigrationSimulation {
     /// the migrant's crossing before the simulation horizon at the rate cap
     /// and through the worst link-fault stall, returning a taxonomy error
     /// instead of panicking.
+    ///
+    /// A live run's crossing is priced at the most its pre-copy can send:
+    /// the image, then up to `max_rounds − 1` working sets shrinking by
+    /// `stall_ratio`, then one final working set. That is a worst case, so
+    /// some live runs that would finish are rejected too: a 95 %-dirty
+    /// 4 GiB guest capped at 3 MB/s sends about two images, inside the
+    /// horizon, yet its bound does not fit.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -207,9 +244,9 @@ impl MigrationSimulation {
                 "migrant does not fit on the target host",
             ));
         }
-        // If the image takes `secs` to cross, can its last tick still start
+        // If the stream takes `secs` to cross, can its last tick still start
         // before the horizon? Both checks assume the best rate.
-        let bytes = vm.memory.total_bytes() as f64;
+        let bytes = precopy_bound_bytes(&config, vm.memory.total_bytes(), &workloads, migrant);
         let past_horizon = |secs: f64| {
             let last_tick = config
                 .timing
@@ -558,7 +595,6 @@ impl MigrationSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MigrationKind;
     use wavm3_cluster::{hardware, vm_instances, Link, MachineSet};
     use wavm3_faults::LinkFaultConfig;
     use wavm3_simkit::SimDuration;
@@ -819,14 +855,25 @@ mod tests {
     #[test]
     fn configs_that_cannot_fit_the_horizon_are_config_errors() {
         type Edit = fn(&mut MigrationConfig);
-        let build = |path, edit: Edit| {
+        // The CPU migrant (a 1.5 % working set), or a page dirtier.
+        let build_with = |dirty_ratio: Option<f64>, path, edit: Edit| {
             let (src_spec, dst_spec) = hardware::pair(MachineSet::M);
             let mut cluster = Cluster::new(Link::gigabit());
             let source = cluster.add_host(src_spec);
             let target = cluster.add_host(dst_spec);
-            let vm = cluster.boot_vm(source, vm_instances::migrating_cpu());
             let mut workloads: BTreeMap<VmId, Arc<dyn Workload>> = BTreeMap::new();
-            workloads.insert(vm, Arc::new(MatMulWorkload::full(4)));
+            let vm = match dirty_ratio {
+                Some(r) => {
+                    let vm = cluster.boot_vm(source, vm_instances::migrating_mem());
+                    workloads.insert(vm, Arc::new(PageDirtierWorkload::with_ratio(r)));
+                    vm
+                }
+                None => {
+                    let vm = cluster.boot_vm(source, vm_instances::migrating_cpu());
+                    workloads.insert(vm, Arc::new(MatMulWorkload::full(4)));
+                    vm
+                }
+            };
             let mut config = MigrationConfig::live();
             config.path = path;
             edit(&mut config);
@@ -840,6 +887,7 @@ mod tests {
                 RngFactory::new(12),
             )
         };
+        let build = |path, edit: Edit| build_with(None, path, edit);
         const fn secs(s: u64) -> SimDuration {
             SimDuration::from_secs(s)
         }
@@ -876,6 +924,15 @@ mod tests {
                     Err(e) => panic!("probe {i} on {path:?}: {e}"),
                     Ok(_) => panic!("probe {i} on {path:?} was accepted"),
                 }
+            }
+            // A 95 %-dirty live run sends about two images, so one crossing
+            // of its image (3,304 s at 1.3 MB/s) fits where the run does not.
+            match build_with(Some(0.95), path, |c| c.precopy.rate_limit_bps = Some(1.3e6)) {
+                Err(Wavm3Error::InvalidConfig { field, .. }) => {
+                    assert_eq!(field, "precopy.rate_limit_bps", "{path:?}")
+                }
+                Err(e) => panic!("95 %-dirty probe on {path:?}: {e}"),
+                Ok(_) => panic!("95 %-dirty probe on {path:?} was accepted"),
             }
             let r = build(path, |c| c.precopy.rate_limit_bps = Some(2.0e6))
                 .expect("4 GiB at 2 MB/s crosses in time")

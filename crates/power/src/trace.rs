@@ -51,7 +51,7 @@ impl PowerTrace {
         self.series.mean_between(from, to)
     }
 
-    /// Emit `time_s,watts` CSV lines (the format the figure binaries dump).
+    /// Emit `time_s,watts` CSV lines (the format the figure targets dump).
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.len() * 16 + 16);
         out.push_str("time_s,power_w\n");

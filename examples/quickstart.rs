@@ -78,6 +78,6 @@ fn main() {
     );
 
     println!("\n(Published coefficients come from the authors' physical testbed;");
-    println!(" run `cargo run -p wavm3-experiments --bin table4` to fit fresh");
+    println!(" run `cargo run -p wavm3-experiments -- table4` to fit fresh");
     println!(" coefficients on this simulator instead.)");
 }

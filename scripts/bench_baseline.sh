@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Record the machine-readable performance baseline for future perf PRs
-# and for the `wavm3-regress` gate.
+# and for the `wavm3-experiments regress` gate.
 #
 # Runs the reduced (fixed-repetition) Table IIa campaign through the
-# `campaign` binary three times with the metrics registry armed, checks
+# `campaign` target three times with the metrics registry armed, checks
 # that the deterministic metrics (counters, histograms) agree across the
 # runs, takes the median wall time and median runner throughput, and
 # folds everything — plus the provenance stamps (git SHA, rustc version,
@@ -13,13 +13,14 @@
 # base campaign in milliseconds — far too short for a stable median —
 # its repetition count is auto-scaled from a calibration run until one
 # timed run takes at least MIN_ANALYTIC_WALL seconds; the scaled rep
-# count is recorded under `analytic.reps`. A `wavm3-profile` run at the
+# count is recorded under `analytic.reps`. A `profile` run at the
 # same scaled rep count stamps the per-stage self-time breakdown (µs per
 # migration run) under `analytic.profile` so perf PRs can see *where* a
 # regression landed.
 #
-# `wavm3-regress --baseline BENCH_baseline.json` re-runs the identical
-# campaign using the `seed` / `reps` stamps and diffs the snapshots.
+# CI's regress-smoke job runs the same campaign with `--metrics-out` and
+# diffs that snapshot against this file with `wavm3-experiments regress
+# --baseline BENCH_baseline.json --current METRICS.json`.
 #
 # Usage: scripts/bench_baseline.sh [REPS] (default 2)
 
@@ -33,12 +34,12 @@ MIN_ANALYTIC_WALL="${MIN_ANALYTIC_WALL:-1.0}"
 TMPDIR="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR"' EXIT
 
-cargo build --release -q -p wavm3-experiments --bin campaign --bin wavm3-profile
+cargo build --release -q -p wavm3-experiments
 
 WALL_TIMES=()
 for i in $(seq 1 "$RUNS"); do
     START=$(date +%s.%N)
-    ./target/release/campaign \
+    ./target/release/wavm3-experiments campaign \
         --reps "$REPS" --seed "$SEED" \
         --out "$TMPDIR/out$i" \
         --metrics-out "$TMPDIR/metrics$i.json" \
@@ -53,7 +54,7 @@ done
 # (the path must change only the energy integration, never what was
 # simulated) and tells us how far to scale the timed runs.
 START=$(date +%s.%N)
-./target/release/campaign \
+./target/release/wavm3-experiments campaign \
     --reps "$REPS" --seed "$SEED" --path analytic \
     --out "$TMPDIR/acal" \
     --metrics-out "$TMPDIR/ametrics-cal.json" \
@@ -74,7 +75,7 @@ for attempt in 1 2 3 4; do
                  n = int(reps * min * 1.2 / wall) + 1;
                  print (n > reps) ? n : reps + 1 }')"
     START=$(date +%s.%N)
-    ./target/release/campaign \
+    ./target/release/wavm3-experiments campaign \
         --reps "$ANALYTIC_REPS" --seed "$SEED" --path analytic \
         --out "$TMPDIR/acal$attempt" \
         --metrics-out "$TMPDIR/ametrics-cal$attempt.json" \
@@ -88,7 +89,7 @@ echo "analytic timing at $ANALYTIC_REPS reps (${CAL_WALL}s >= ${MIN_ANALYTIC_WAL
 ANALYTIC_WALL_TIMES=()
 for i in $(seq 1 "$RUNS"); do
     START=$(date +%s.%N)
-    ./target/release/campaign \
+    ./target/release/wavm3-experiments campaign \
         --reps "$ANALYTIC_REPS" --seed "$SEED" --path analytic \
         --out "$TMPDIR/aout$i" \
         --metrics-out "$TMPDIR/ametrics$i.json" \
@@ -101,7 +102,7 @@ done
 # Per-stage self-time breakdown of the analytic path (single-threaded so
 # self times are comparable to wall time), at the scaled rep count: at
 # the base count the profile covers ~100 cold runs and scatters by 2x.
-./target/release/wavm3-profile \
+./target/release/wavm3-experiments profile \
     --reps "$ANALYTIC_REPS" --seed "$SEED" --path analytic \
     --out "$TMPDIR/pout" --profile-out "$TMPDIR/profile" \
     >"$TMPDIR/profile-stdout.txt"
@@ -118,7 +119,7 @@ for t in 1 2 4 8; do
     fi
 done
 for t in "${THREAD_COUNTS[@]}"; do
-    ./target/release/campaign \
+    ./target/release/wavm3-experiments campaign \
         --reps "$ANALYTIC_REPS" --seed "$SEED" --path analytic --threads "$t" \
         --out "$TMPDIR/tout$t" \
         --metrics-out "$TMPDIR/tmetrics$t.json" \
@@ -187,7 +188,7 @@ for t in os.environ["THREAD_COUNTS"].split():
     with open(f"{tmp}/tmetrics{t}.json") as f:
         parallel_tp[t] = json.load(f)["gauges"][ANALYTIC_GAUGE]
 
-# Per-stage breakdown from the wavm3-profile run: aggregate the call
+# Per-stage breakdown from the profile run: aggregate the call
 # tree by scope name and normalise self time by profiled migration runs.
 with open(f"{tmp}/profile/profile.json") as f:
     profile = json.load(f)

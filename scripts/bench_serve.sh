@@ -16,7 +16,7 @@
 #
 # Check mode (`--check`) re-runs the identical scenario once and diffs
 # the snapshot against the committed BENCH_serve.json via
-# `wavm3-regress`, so CI needs exactly one command:
+# `wavm3-experiments regress`, so CI needs exactly one command:
 #
 #   scripts/bench_serve.sh --check
 #
@@ -36,7 +36,7 @@ trap 'rm -rf "$TMPDIR"' EXIT
 
 cargo build --release -q -p wavm3-serve --bin wavm3-serve --bin wavm3-loadgen
 if [ "$MODE" = check ]; then
-    cargo build --release -q -p wavm3-experiments --bin wavm3-regress
+    cargo build --release -q -p wavm3-experiments
 fi
 
 # One drill: chaos-heavy server, sequential seeded load, two scrapes.
@@ -75,7 +75,7 @@ run_scenario() {
 
 if [ "$MODE" = check ]; then
     run_scenario check
-    ./target/release/wavm3-regress \
+    ./target/release/wavm3-experiments regress \
         --baseline BENCH_serve.json --current "$TMPDIR/metricscheck.json" \
         --tolerances scripts/serve_tolerances.json
     exit 0

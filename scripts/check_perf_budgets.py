@@ -2,7 +2,7 @@
 """Gate per-stage self-time budgets for the analytic campaign path.
 
 Reads the `profile.json` (call-tree snapshot) and `summary.json` written
-by `wavm3-profile --profile-out DIR`, aggregates self time by scope name,
+by `wavm3-experiments profile --profile-out DIR`, aggregates self time by scope name,
 normalises it to microseconds per profiled migration run, and compares
 each stage against the budget table below. On any breach the full
 hotspot diff is printed and the process exits non-zero, so the CI job
@@ -35,7 +35,7 @@ BUDGETS_US_PER_RUN = {
 }
 
 # The profiler must account for nearly all of the campaign wall time on
-# the single-threaded wavm3-profile run (acceptance: within 5%).
+# the single-threaded `profile` run (acceptance: within 5%).
 COVERAGE_PCT_RANGE = (95.0, 105.0)
 
 
