@@ -207,12 +207,10 @@ impl MigrationSimulation {
     /// and through the worst link-fault stall, returning a taxonomy error
     /// instead of panicking.
     ///
-    /// A live run's crossing is priced at the most its pre-copy can send:
-    /// the image, then up to `max_rounds − 1` working sets shrinking by
-    /// `stall_ratio`, then one final working set. That is a worst case, so
-    /// some live runs that would finish are rejected too: a 95 %-dirty
-    /// 4 GiB guest capped at 3 MB/s sends about two images, inside the
-    /// horizon, yet its bound does not fit.
+    /// A live run is priced at the most its pre-copy can send, a worst
+    /// case: some live runs that would finish are rejected too, such as a
+    /// 95 %-dirty 4 GiB guest capped at 3 MB/s, which sends about two
+    /// images inside the horizon.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -252,7 +250,7 @@ impl MigrationSimulation {
                 .timing
                 .last_tick_bound(SimDuration::from_secs_f64(secs));
             (last_tick >= HORIZON)
-                .then(|| format!("the image needs a tick at {last_tick}, past {HORIZON}"))
+                .then(|| format!("the stream needs a tick at {last_tick}, past {HORIZON}"))
         };
         // The engine never streams faster than `cap.max(1.0)`.
         let cap = config.precopy.rate_limit_bps.map(|cap| cap.max(1.0));

@@ -14,7 +14,7 @@ use wavm3::models::{EnergyModel, HostRole};
 
 fn main() {
     // A trimmed campaign (4 repetitions) keeps the example quick while
-    // spanning every experiment family; the table binaries run the full
+    // spanning every experiment family; the table targets run the full
     // paper protocol.
     println!("running the CPULOAD/MEMLOAD campaign on m01-m02 ...");
     let cfg = RunnerConfig {

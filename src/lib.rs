@@ -33,9 +33,9 @@
 //! assert!(record.source_energy.total_j() > 0.0);
 //! ```
 //!
-//! See `examples/` for end-to-end walkthroughs and
-//! `crates/experiments/src/bin/` for the per-table/per-figure
-//! regeneration binaries.
+//! See `examples/` for end-to-end walkthroughs and the
+//! `wavm3-experiments` binary (`crates/experiments/src/main.rs`), whose
+//! targets regenerate each table and figure.
 
 pub use wavm3_cluster as cluster;
 pub use wavm3_consolidation as consolidation;
