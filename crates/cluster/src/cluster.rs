@@ -113,11 +113,6 @@ impl Cluster {
         );
         dst.attach_vm(v);
     }
-
-    /// Total number of VMs across all hosts.
-    pub fn vm_count(&self) -> usize {
-        self.hosts.iter().map(|h| h.vms().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(c.locate_vm(vm), Some(a));
         assert_ne!(c.locate_vm(vm), Some(b));
         assert!(c.vm(vm).is_some());
-        assert_eq!(c.vm_count(), 1);
+        assert_eq!(c.host(a).vms().len(), 1);
     }
 
     #[test]
@@ -154,10 +149,10 @@ mod tests {
     fn relocation_moves_state() {
         let (mut c, a, b) = two_host_cluster();
         let vm = c.boot_vm(a, vm_instances::migrating_mem());
-        c.vm_mut(vm).unwrap().memory.mark_dirty(7);
+        c.vm_mut(vm).unwrap().set_cpu_demand(0.75);
         c.relocate_vm(vm, a, b);
         assert_eq!(c.locate_vm(vm), Some(b));
-        assert!(c.vm(vm).unwrap().memory.is_dirty(7), "state travels");
+        assert_eq!(c.vm(vm).unwrap().cpu_demand(), 0.75, "state travels");
         assert!(c.host(a).vm(vm).is_none());
     }
 

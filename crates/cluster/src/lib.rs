@@ -2,8 +2,10 @@
 //!
 //! The physical-resource model underneath the WAVM3 reproduction: machines
 //! (paper Table IIc), virtual machines (Table IIb), per-host CPU accounting
-//! with Xen-credit-style multiplexing (paper Eq. 2), page-granular memory
-//! with dirty tracking, and the gigabit link between migration endpoints.
+//! with Xen-credit-style multiplexing (paper Eq. 2), each VM's RAM size,
+//! and the gigabit link between migration endpoints. The dirty set a live
+//! migration re-sends is the migration engine's analytic one, not state
+//! kept here.
 //!
 //! This crate holds *state and resource arithmetic only* — the event loop
 //! that advances a migration lives in `wavm3-migration`, and power synthesis
@@ -47,7 +49,7 @@ pub use cpu::{CpuAccounting, CpuAllocation};
 pub use host::Host;
 pub use ids::{HostId, VmId};
 pub use machine::{MachineSet, MachineSpec, PowerProfile};
-pub use memory::{MemoryImage, PAGE_SIZE_BYTES};
+pub use memory::PAGE_SIZE_BYTES;
 pub use network::Link;
 pub use specs::{hardware, vm_instances};
 pub use vm::{Vm, VmSpec, VmState};

@@ -1,306 +1,12 @@
-//! Page-granular VM memory with dirty tracking.
+//! Guest memory granularity.
 //!
 //! Live pre-copy migration revolves around *dirty pages*: pages written
-//! since the last transfer round must be re-sent. [`MemoryImage`] keeps a
-//! bitmap of dirty pages exactly like a hypervisor's log-dirty mode, and the
-//! paper's dirtying ratio `DR(v,t) = DIRTYPAGES(v,t) / MEM(v)` (Eq. 1) falls
-//! out of it directly.
-
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+//! since the last transfer round must be re-sent. The paper's dirtying
+//! ratio `DR(v,t) = DIRTYPAGES(v,t) / MEM(v)` (Eq. 1) counts them in
+//! pages of this size. A VM's image size comes from its spec
+//! ([`VmSpec::ram_bytes`](crate::VmSpec::ram_bytes)); its dirty set is the
+//! migration engine's analytic one, which steps toward the migrant's
+//! working set (`wavm3-migration`, `Mechanism::saturate_dirty`).
 
 /// Memory page size (4 KiB, the x86 baseline used by Xen paravirtual guests).
 pub const PAGE_SIZE_BYTES: u64 = 4096;
-
-/// A VM memory image as a dirty-page bitmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoryImage {
-    /// Total number of pages.
-    total_pages: u64,
-    /// Bitmap, one bit per page; bit set = dirty.
-    bitmap: Vec<u64>,
-    /// Cached population count of `bitmap`.
-    dirty_count: u64,
-}
-
-impl MemoryImage {
-    /// An image of `total_pages` pages, all clean.
-    pub fn new(total_pages: u64) -> Self {
-        let words = total_pages.div_ceil(64) as usize;
-        MemoryImage {
-            total_pages,
-            bitmap: vec![0; words],
-            dirty_count: 0,
-        }
-    }
-
-    /// An image sized for `mib` MiB of RAM.
-    pub fn with_mib(mib: u64) -> Self {
-        MemoryImage::new(mib * 1024 * 1024 / PAGE_SIZE_BYTES)
-    }
-
-    /// Total pages in the image.
-    pub fn total_pages(&self) -> u64 {
-        self.total_pages
-    }
-
-    /// Image size in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_pages * PAGE_SIZE_BYTES
-    }
-
-    /// Number of dirty pages — the paper's `DIRTYPAGES(v, t)`.
-    pub fn dirty_pages(&self) -> u64 {
-        self.dirty_count
-    }
-
-    /// Dirty bytes.
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty_count * PAGE_SIZE_BYTES
-    }
-
-    /// The paper's dirtying ratio `DR(v, t)` (Eq. 1) in `[0, 1]`.
-    pub fn dirty_ratio(&self) -> f64 {
-        if self.total_pages == 0 {
-            0.0
-        } else {
-            self.dirty_count as f64 / self.total_pages as f64
-        }
-    }
-
-    /// Is the given page dirty? Panics if out of range.
-    pub fn is_dirty(&self, page: u64) -> bool {
-        assert!(page < self.total_pages, "page {page} out of range");
-        self.bitmap[(page / 64) as usize] & (1 << (page % 64)) != 0
-    }
-
-    /// Mark one page dirty. Returns `true` if it was previously clean.
-    pub fn mark_dirty(&mut self, page: u64) -> bool {
-        assert!(page < self.total_pages, "page {page} out of range");
-        let (w, b) = ((page / 64) as usize, page % 64);
-        let was_clean = self.bitmap[w] & (1 << b) == 0;
-        if was_clean {
-            self.bitmap[w] |= 1 << b;
-            self.dirty_count += 1;
-        }
-        was_clean
-    }
-
-    /// Mark `count` *distinct uniformly random* pages dirty (pages already
-    /// dirty still count toward the write, matching real workloads that
-    /// rewrite hot pages). Returns how many pages transitioned clean→dirty.
-    pub fn dirty_random_pages<R: Rng + ?Sized>(&mut self, rng: &mut R, count: u64) -> u64 {
-        if self.total_pages == 0 {
-            return 0;
-        }
-        let mut newly = 0;
-        for _ in 0..count {
-            let page = rng.gen_range(0..self.total_pages);
-            if self.mark_dirty(page) {
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// Expected number of distinct dirty pages after `writes` uniformly
-    /// random page writes on a clean image of `total` pages:
-    /// `total * (1 - (1 - 1/total)^writes)` (coupon-collector saturation).
-    ///
-    /// Used by the simulator's closed-form dirty-ratio process so it does
-    /// not have to emulate every single write.
-    pub fn expected_distinct_dirty(total: u64, writes: f64) -> f64 {
-        if total == 0 || writes <= 0.0 {
-            return 0.0;
-        }
-        let t = total as f64;
-        t * (1.0 - (1.0 - 1.0 / t).powf(writes))
-    }
-
-    /// Iterate the indices of all dirty pages, ascending.
-    pub fn iter_dirty(&self) -> impl Iterator<Item = u64> + '_ {
-        self.bitmap.iter().enumerate().flat_map(move |(w, &bits)| {
-            let base = w as u64 * 64;
-            let mut bits = bits;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                Some(base + tz)
-            })
-        })
-    }
-
-    /// Clear the whole dirty bitmap (start of a pre-copy round).
-    pub fn clear_dirty(&mut self) {
-        self.bitmap.fill(0);
-        self.dirty_count = 0;
-    }
-
-    /// Atomically read out and reset the dirty set, returning the number of
-    /// pages that were dirty. This models Xen's `shadow log-dirty clean`
-    /// operation at the start of each migration round.
-    pub fn take_dirty(&mut self) -> u64 {
-        let n = self.dirty_count;
-        self.clear_dirty();
-        n
-    }
-
-    /// Set the dirty count directly to `pages` (clamped to the image size),
-    /// choosing the lowest page indices. Used by deterministic closed-form
-    /// simulation paths where the identity of pages is irrelevant.
-    pub fn set_dirty_pages(&mut self, pages: u64) {
-        self.clear_dirty();
-        let n = pages.min(self.total_pages);
-        let full_words = (n / 64) as usize;
-        for w in self.bitmap.iter_mut().take(full_words) {
-            *w = u64::MAX;
-        }
-        let rem = n % 64;
-        if rem > 0 {
-            self.bitmap[full_words] = (1u64 << rem) - 1;
-        }
-        self.dirty_count = n;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn sizes_and_ratio() {
-        let img = MemoryImage::with_mib(4096); // 4 GiB
-        assert_eq!(img.total_pages(), 1_048_576);
-        assert_eq!(img.total_bytes(), 4 * 1024 * 1024 * 1024);
-        assert_eq!(img.dirty_ratio(), 0.0);
-    }
-
-    #[test]
-    fn mark_and_clear() {
-        let mut img = MemoryImage::new(100);
-        assert!(img.mark_dirty(5));
-        assert!(!img.mark_dirty(5), "second mark is a no-op");
-        assert!(img.is_dirty(5));
-        assert!(!img.is_dirty(6));
-        assert_eq!(img.dirty_pages(), 1);
-        img.clear_dirty();
-        assert_eq!(img.dirty_pages(), 0);
-        assert!(!img.is_dirty(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_page_panics() {
-        let mut img = MemoryImage::new(10);
-        img.mark_dirty(10);
-    }
-
-    #[test]
-    fn random_dirtying_saturates() {
-        let mut img = MemoryImage::new(1000);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        // Far more writes than pages: everything should end up dirty-ish.
-        img.dirty_random_pages(&mut rng, 20_000);
-        assert!(img.dirty_ratio() > 0.99);
-        assert!(img.dirty_pages() <= 1000);
-    }
-
-    #[test]
-    fn random_dirtying_counts_new_pages_only() {
-        let mut img = MemoryImage::new(64);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let newly = img.dirty_random_pages(&mut rng, 1_000);
-        assert_eq!(newly, img.dirty_pages());
-    }
-
-    #[test]
-    fn expected_distinct_matches_simulation() {
-        let total = 10_000u64;
-        let writes = 5_000u64;
-        let expected = MemoryImage::expected_distinct_dirty(total, writes as f64);
-        // Average a few random replicates.
-        let mut acc = 0.0;
-        for seed in 0..5 {
-            let mut img = MemoryImage::new(total);
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            img.dirty_random_pages(&mut rng, writes);
-            acc += img.dirty_pages() as f64;
-        }
-        let mean = acc / 5.0;
-        assert!(
-            (mean - expected).abs() / expected < 0.02,
-            "closed form {expected} vs simulated {mean}"
-        );
-    }
-
-    #[test]
-    fn expected_distinct_edge_cases() {
-        assert_eq!(MemoryImage::expected_distinct_dirty(0, 100.0), 0.0);
-        assert_eq!(MemoryImage::expected_distinct_dirty(100, 0.0), 0.0);
-        assert_eq!(MemoryImage::expected_distinct_dirty(100, -5.0), 0.0);
-        // Enormous write counts saturate at the page count.
-        let v = MemoryImage::expected_distinct_dirty(100, 1e9);
-        assert!((v - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn take_dirty_resets() {
-        let mut img = MemoryImage::new(128);
-        img.mark_dirty(0);
-        img.mark_dirty(127);
-        assert_eq!(img.take_dirty(), 2);
-        assert_eq!(img.dirty_pages(), 0);
-        assert_eq!(img.take_dirty(), 0);
-    }
-
-    #[test]
-    fn set_dirty_pages_exact_and_clamped() {
-        let mut img = MemoryImage::new(130);
-        img.set_dirty_pages(70);
-        assert_eq!(img.dirty_pages(), 70);
-        assert!(img.is_dirty(0));
-        assert!(img.is_dirty(69));
-        assert!(!img.is_dirty(70));
-        img.set_dirty_pages(1_000);
-        assert_eq!(img.dirty_pages(), 130);
-        assert!((img.dirty_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iter_dirty_yields_exactly_the_dirty_pages() {
-        let mut img = MemoryImage::new(200);
-        for p in [0u64, 63, 64, 65, 127, 199] {
-            img.mark_dirty(p);
-        }
-        let got: Vec<u64> = img.iter_dirty().collect();
-        assert_eq!(got, vec![0, 63, 64, 65, 127, 199]);
-        img.clear_dirty();
-        assert_eq!(img.iter_dirty().count(), 0);
-    }
-
-    #[test]
-    fn iter_dirty_agrees_with_count_under_random_marks() {
-        let mut img = MemoryImage::new(5_000);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        img.dirty_random_pages(&mut rng, 3_000);
-        let listed: Vec<u64> = img.iter_dirty().collect();
-        assert_eq!(listed.len() as u64, img.dirty_pages());
-        assert!(listed.windows(2).all(|w| w[0] < w[1]), "ascending, unique");
-        assert!(listed.iter().all(|&p| img.is_dirty(p)));
-    }
-
-    #[test]
-    fn zero_page_image_is_safe() {
-        let mut img = MemoryImage::new(0);
-        assert_eq!(img.dirty_ratio(), 0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        assert_eq!(img.dirty_random_pages(&mut rng, 10), 0);
-        img.set_dirty_pages(5);
-        assert_eq!(img.dirty_pages(), 0);
-    }
-}

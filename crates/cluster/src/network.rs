@@ -51,13 +51,6 @@ impl Link {
         self.nominal_bandwidth() * s.min(d)
     }
 
-    /// Time to push `bytes` at `bandwidth_bps` (plus one latency for the
-    /// stream set-up). Zero-byte transfers still pay the latency.
-    pub fn transfer_time(&self, bytes: u64, bandwidth_bps: f64) -> SimDuration {
-        assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
-        self.latency + SimDuration::from_secs_f64(bytes as f64 / bandwidth_bps)
-    }
-
     /// Utilisation of the physical line when the stream moves at
     /// `bandwidth_bps` — feeds the NIC term of the power synthesiser.
     pub fn line_utilisation(&self, bandwidth_bps: f64) -> f64 {
@@ -94,22 +87,6 @@ mod tests {
             "scales above 1 clamp"
         );
         assert_eq!(l.effective_bandwidth(-1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn transfer_time_is_linear_plus_latency() {
-        let l = Link::gigabit();
-        let bw = 1e8;
-        let t = l.transfer_time(1_000_000_000, bw);
-        assert!((t.as_secs_f64() - (10.0 + l.latency.as_secs_f64())).abs() < 1e-9);
-        let t0 = l.transfer_time(0, bw);
-        assert_eq!(t0, l.latency);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn zero_bandwidth_panics() {
-        Link::gigabit().transfer_time(1, 0.0);
     }
 
     #[test]

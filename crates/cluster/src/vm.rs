@@ -1,7 +1,6 @@
 //! Virtual machines (paper Table IIb).
 
 use crate::ids::VmId;
-use crate::memory::MemoryImage;
 use serde::{Deserialize, Serialize};
 
 /// Static description of a VM instance type (paper Table IIb).
@@ -21,6 +20,14 @@ pub struct VmSpec {
     /// Disk image size in GiB (transferred out-of-band via NFS in the paper,
     /// so it does not enter the migration byte count).
     pub storage_gib: u64,
+}
+
+impl VmSpec {
+    /// Memory image size in bytes (`ram_mib × 2^20`): what a migration
+    /// must carry across before the target can run the guest.
+    pub fn ram_bytes(&self) -> u64 {
+        self.ram_mib * 1024 * 1024
+    }
 }
 
 /// Lifecycle state of a VM.
@@ -47,20 +54,16 @@ pub struct Vm {
     pub state: VmState,
     /// Current CPU demand in cores-worth, `[0, vcpus]`.
     cpu_demand: f64,
-    /// Guest memory with dirty tracking.
-    pub memory: MemoryImage,
 }
 
 impl Vm {
-    /// A freshly booted VM with zero CPU demand and clean memory.
+    /// A freshly booted VM with zero CPU demand.
     pub fn new(id: VmId, spec: VmSpec) -> Self {
-        let memory = MemoryImage::with_mib(spec.ram_mib);
         Vm {
             id,
             spec,
             state: VmState::Running,
             cpu_demand: 0.0,
-            memory,
         }
     }
 
@@ -80,16 +83,7 @@ impl Vm {
         self.cpu_demand = cores.clamp(0.0, max);
     }
 
-    /// Dirtying ratio `DR(v, t)` in `[0, 1]`; zero while not running.
-    pub fn dirty_ratio(&self) -> f64 {
-        if self.state == VmState::Running {
-            self.memory.dirty_ratio()
-        } else {
-            0.0
-        }
-    }
-
-    /// Suspend the VM (its CPU demand and dirty ratio read as zero).
+    /// Suspend the VM (its CPU demand reads as zero).
     pub fn suspend(&mut self) {
         if self.state == VmState::Running {
             self.state = VmState::Suspended;
@@ -144,16 +138,12 @@ mod tests {
     fn suspended_vm_reads_zero() {
         let mut vm = Vm::new(VmId(1), spec());
         vm.set_cpu_demand(4.0);
-        vm.memory.mark_dirty(0);
         assert!(vm.cpu_demand() > 0.0);
-        assert!(vm.dirty_ratio() > 0.0);
         vm.suspend();
         assert_eq!(vm.cpu_demand(), 0.0);
-        assert_eq!(vm.dirty_ratio(), 0.0);
         assert_eq!(vm.state, VmState::Suspended);
         vm.resume();
         assert_eq!(vm.cpu_demand(), 4.0);
-        assert!(vm.dirty_ratio() > 0.0);
     }
 
     #[test]
@@ -168,6 +158,6 @@ mod tests {
     #[test]
     fn memory_sized_from_spec() {
         let vm = Vm::new(VmId(1), spec());
-        assert_eq!(vm.memory.total_bytes(), 4096 * 1024 * 1024);
+        assert_eq!(vm.spec.ram_bytes(), 4096 * 1024 * 1024);
     }
 }

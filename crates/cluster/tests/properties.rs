@@ -1,48 +1,9 @@
 //! Property-based tests of the cluster substrate.
 
 use proptest::prelude::*;
-use wavm3_cluster::{CpuAccounting, Link, MemoryImage};
+use wavm3_cluster::{CpuAccounting, Link};
 
 proptest! {
-    #[test]
-    fn dirty_count_matches_bitmap(pages in 1u64..5_000, marks in prop::collection::vec(0u64..5_000, 0..256)) {
-        let mut img = MemoryImage::new(pages);
-        let mut expected = std::collections::BTreeSet::new();
-        for m in marks {
-            let p = m % pages;
-            img.mark_dirty(p);
-            expected.insert(p);
-        }
-        prop_assert_eq!(img.dirty_pages(), expected.len() as u64);
-        for p in 0..pages {
-            prop_assert_eq!(img.is_dirty(p), expected.contains(&p));
-        }
-        let ratio = img.dirty_ratio();
-        prop_assert!((0.0..=1.0).contains(&ratio));
-        prop_assert!((ratio - expected.len() as f64 / pages as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn take_dirty_then_clean(pages in 1u64..2_000, n in 0u64..2_000) {
-        let mut img = MemoryImage::new(pages);
-        img.set_dirty_pages(n);
-        let expect = n.min(pages);
-        prop_assert_eq!(img.take_dirty(), expect);
-        prop_assert_eq!(img.dirty_pages(), 0);
-        prop_assert_eq!(img.dirty_ratio(), 0.0);
-    }
-
-    #[test]
-    fn expected_distinct_dirty_bounds(total in 1u64..1_000_000, writes in 0.0f64..1e7) {
-        let d = MemoryImage::expected_distinct_dirty(total, writes);
-        prop_assert!(d >= 0.0);
-        prop_assert!(d <= total as f64 + 1e-9);
-        prop_assert!(d <= writes + 1e-9, "cannot dirty more pages than writes");
-        // Monotone in writes.
-        let d2 = MemoryImage::expected_distinct_dirty(total, writes + 1.0);
-        prop_assert!(d2 + 1e-12 >= d);
-    }
-
     #[test]
     fn cpu_allocation_conservation(
         vmm in 0.0f64..4.0,
@@ -79,16 +40,5 @@ proptest! {
         prop_assert!(link.effective_bandwidth(lo, d) <= link.effective_bandwidth(hi, d) + 1e-9);
         prop_assert!(link.effective_bandwidth(d, lo) <= link.effective_bandwidth(d, hi) + 1e-9);
         prop_assert!(link.effective_bandwidth(s1, s2) <= link.nominal_bandwidth() + 1e-9);
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes(bytes in 1u64..1u64 << 36, bw in 1e6f64..2e8) {
-        let link = Link::gigabit();
-        let t1 = link.transfer_time(bytes, bw);
-        let t2 = link.transfer_time(bytes * 2, bw);
-        // Doubling the payload at least doubles the payload part.
-        let payload1 = t1.as_secs_f64() - link.latency.as_secs_f64();
-        let payload2 = t2.as_secs_f64() - link.latency.as_secs_f64();
-        prop_assert!((payload2 - 2.0 * payload1).abs() < 1e-6 * (1.0 + payload2));
     }
 }

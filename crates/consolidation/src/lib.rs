@@ -17,7 +17,13 @@
 //! * [`policy`] — the consolidation manager: enumerates candidate moves,
 //!   prices them with a pluggable energy model, and greedily empties
 //!   under-utilised hosts when the migration cost amortises within a
-//!   configurable horizon.
+//!   configurable horizon;
+//! * [`executor`] — carries a plan out move by move in the full simulator
+//!   and compares each predicted migration energy with the measured one;
+//! * [`evaluation`] — scores each model's accept/reject decisions against
+//!   an oracle that executes every candidate move;
+//! * [`datacenter`] — the end-to-end horizon trade: baseline against the
+//!   consolidated placement, migrations and powered-off hosts included.
 
 //! ## Example
 //!
@@ -47,14 +53,12 @@
 //! assert!(plan.est_downtime.as_secs_f64() > 10.0);
 //! ```
 
-pub mod concurrent;
 pub mod datacenter;
 pub mod evaluation;
 pub mod executor;
 pub mod planner;
 pub mod policy;
 
-pub use concurrent::{plan_concurrent, plan_sequential, SchedulePlan, StreamCompletion};
 pub use datacenter::{cluster_steady_power, run_horizon, HorizonReport};
 pub use evaluation::{agreement_rate, evaluate_decisions, CandidateMove, DecisionOutcome};
 pub use executor::{execute_plan, workload_for, ExecutedMove, MoveOutcome};

@@ -68,8 +68,10 @@ pub struct MigrationPlan {
     pub samples: Vec<FeatureSample>,
 }
 
-/// Dirty pages after writing for `dt` seconds into a clean bitmap
-/// (coupon-collector saturation over the working set).
+/// Distinct dirty pages after `dt` seconds of writes at `rate` pages/s,
+/// starting from a clean dirty set: `ws·(1 − e^(−rate·dt/ws))` over a
+/// working set of `ws_pages`. This is the closed form of the curve the
+/// migration engine steps tick by tick (`Mechanism::saturate_dirty`).
 fn dirty_after(ws_pages: f64, rate: f64, dt: f64) -> f64 {
     if ws_pages < 1.0 || rate <= 0.0 || dt <= 0.0 {
         return 0.0;
@@ -348,6 +350,75 @@ pub fn select_mechanism(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use wavm3_workloads::PageDirtierWorkload;
+
+    /// The pagedirtier's default write rate, pages/s.
+    const RATE: f64 = PageDirtierWorkload::DEFAULT_WRITE_RATE;
+
+    #[test]
+    fn dirty_saturation_approaches_working_set() {
+        let ws = 0.5 * 1_048_576.0; // half of 4 GiB of pages
+        let after_long = dirty_after(ws, RATE, 600.0);
+        assert!(
+            (after_long - ws).abs() / ws < 1e-6,
+            "saturates at working set"
+        );
+        // Early in a round, dirtying is roughly linear at the write rate.
+        let after_short = dirty_after(ws, RATE, 0.1);
+        let linear = 0.1 * RATE;
+        assert!(
+            (after_short - linear).abs() / linear < 0.05,
+            "{after_short} vs {linear}"
+        );
+    }
+
+    #[test]
+    fn dirty_saturation_is_monotone_in_time() {
+        let ws = 0.95 * 1_000_000.0;
+        let mut prev = 0.0;
+        for s in 1..=30 {
+            let d = dirty_after(ws, RATE, s as f64);
+            assert!(d >= prev);
+            prev = d;
+        }
+    }
+
+    #[test]
+    fn degenerate_inputs_are_zero() {
+        assert_eq!(dirty_after(0.0, RATE, 10.0), 0.0);
+        assert_eq!(dirty_after(500.0, RATE, 0.0), 0.0);
+        assert_eq!(dirty_after(500.0, 0.0, 10.0), 0.0);
+    }
+
+    #[test]
+    fn higher_ratio_dirties_more_for_same_duration() {
+        let lo = dirty_after(0.05 * 1_000_000.0, RATE, 30.0);
+        let hi = dirty_after(0.95 * 1_000_000.0, RATE, 30.0);
+        assert!(
+            hi > lo * 2.0,
+            "95% ratio must dirty far more than 5%: {hi} vs {lo}"
+        );
+    }
+
+    proptest! {
+        /// The dirty estimate is monotone in time and bounded by both the
+        /// working set and the write budget.
+        #[test]
+        fn dirty_estimate_bounds(
+            ratio in 0.0f64..=1.0,
+            secs in 0.0f64..300.0,
+            total in 1u64..2_000_000,
+        ) {
+            let ws = ratio * total as f64;
+            let d = dirty_after(ws, RATE, secs);
+            prop_assert!(d >= 0.0);
+            prop_assert!(d <= ws + 1e-6);
+            prop_assert!(d <= RATE * secs + 1e-6);
+            let d2 = dirty_after(ws, RATE, secs + 1.0);
+            prop_assert!(d2 + 1e-9 >= d);
+        }
+    }
 
     fn base_inputs() -> PlannerInputs {
         PlannerInputs {

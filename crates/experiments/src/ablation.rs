@@ -2,9 +2,8 @@
 //!
 //! DESIGN.md calls out the model's design choices — per-phase structure
 //! and the four workload features. Each variant below *retrains* the model
-//! with one ingredient removed (see
-//! [`FeatureMask`](wavm3_models::FeatureMask)) and scores it on the same
-//! test runs, quantifying the paper's implicit claims:
+//! with one ingredient removed (see [`FeatureMask`]) and scores it on the
+//! same test runs, quantifying the paper's implicit claims:
 //!
 //! * dropping `DR` / `CPU(v)` recreates HUANG's blind spot on live
 //!   migrations of memory-hot guests;

@@ -6,8 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use wavm3_cluster::MachineSet;
-use wavm3_migration::{MigrationKind, MigrationRecord};
+use wavm3_migration::MigrationRecord;
 use wavm3_simkit::{SimDuration, TimeSeries};
 
 /// One scenario's repetitions.
@@ -42,22 +41,6 @@ impl ExperimentDataset {
     /// Every record, flattened in campaign order.
     pub fn all_records(&self) -> Vec<&MigrationRecord> {
         self.runs.iter().flat_map(|r| r.records.iter()).collect()
-    }
-
-    /// Records from one machine set.
-    pub fn records_of_set(&self, set: MachineSet) -> Vec<&MigrationRecord> {
-        self.all_records()
-            .into_iter()
-            .filter(|r| r.machine_set == set)
-            .collect()
-    }
-
-    /// Records of one mechanism.
-    pub fn records_of_kind(&self, kind: MigrationKind) -> Vec<&MigrationRecord> {
-        self.all_records()
-            .into_iter()
-            .filter(|r| r.kind == kind)
-            .collect()
     }
 
     /// Total number of simulated migrations.
@@ -128,6 +111,8 @@ mod tests {
     use super::*;
     use crate::runner::RepetitionPolicy;
     use crate::scenario::ExperimentFamily;
+    use wavm3_cluster::MachineSet;
+    use wavm3_migration::MigrationKind;
     use wavm3_simkit::SimTime;
 
     fn mini_dataset() -> ExperimentDataset {
@@ -166,9 +151,10 @@ mod tests {
         let ds = mini_dataset();
         assert_eq!(ds.runs.len(), 2);
         assert_eq!(ds.record_count(), 6);
-        assert_eq!(ds.records_of_kind(MigrationKind::Live).len(), 3);
-        assert_eq!(ds.records_of_set(MachineSet::M).len(), 6);
-        assert_eq!(ds.records_of_set(MachineSet::O).len(), 0);
+        let records = ds.all_records();
+        let live = records.iter().filter(|r| r.kind == MigrationKind::Live);
+        assert_eq!(live.count(), 3);
+        assert!(records.iter().all(|r| r.machine_set == MachineSet::M));
     }
 
     #[test]

@@ -153,16 +153,6 @@ impl Wavm3Error {
         }
     }
 
-    /// `true` for the load-dependent, retry-worthy variants — the ones a
-    /// server maps to 429/503 rather than 500, and a client answers with
-    /// backoff instead of giving up.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Wavm3Error::DeadlineExceeded { .. } | Wavm3Error::Overloaded { .. }
-        )
-    }
-
     /// An [`Wavm3Error::Serde`] with formatted parts.
     pub fn serde(context: impl Into<String>, reason: impl fmt::Display) -> Self {
         Wavm3Error::Serde {
@@ -315,18 +305,11 @@ mod tests {
     fn serving_variants_classify_as_retryable_not_config() {
         let e = Wavm3Error::deadline_exceeded("serve./plan", 250);
         assert_eq!(e.to_string(), "deadline exceeded: serve./plan: 250 ms");
-        assert!(e.is_retryable());
         assert!(!e.is_config_error());
 
         let e = Wavm3Error::overloaded("serve.admission_queue");
         assert!(e.to_string().contains("retry later"), "{e}");
-        assert!(e.is_retryable());
         assert!(!e.is_config_error());
-
-        // Config rejections are not retryable: resending the same bad
-        // request can never succeed.
-        assert!(!Wavm3Error::invalid_config("f", "bad").is_retryable());
-        assert!(!Wavm3Error::check_failed("c").is_retryable());
     }
 
     #[test]

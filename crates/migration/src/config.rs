@@ -426,6 +426,17 @@ impl MigrationConfig {
             return Err(Wavm3Error::invalid_config("timing", why));
         }
         self.env_noise.validate()?;
+        // Both paths step the wander as `x ← (1 − dt/τ)·x + ε` with `dt` a
+        // tick: at `τ ≤ dt/2` the factor is −1 or below and the chain
+        // stops reverting to zero.
+        let half_tick = self.timing.tick.as_secs_f64() / 2.0;
+        if self.env_noise.wander_tau_s <= half_tick {
+            let why = format!(
+                "OU time constant must exceed half the {} tick",
+                self.timing.tick
+            );
+            return Err(Wavm3Error::invalid_config("env_noise.wander_tau_s", why));
+        }
         self.faults.validate()
     }
 }
@@ -512,5 +523,17 @@ mod tests {
         cfg.timing.post_run_max = SimDuration::from_secs(8);
         let msg = cfg.validate().expect_err("inverted tail").to_string();
         assert!(msg.contains("post_run_min"), "{msg}");
+    }
+
+    #[test]
+    fn wander_time_constant_must_exceed_half_a_tick() {
+        let mut cfg = MigrationConfig::live();
+        let half_tick = cfg.timing.tick.as_secs_f64() / 2.0;
+        cfg.env_noise.wander_tau_s = half_tick;
+        let err = cfg.validate().expect_err("tau = tick/2 does not revert");
+        assert!(err.is_config_error(), "{err}");
+        assert!(err.to_string().contains("env_noise.wander_tau_s"), "{err}");
+        cfg.env_noise.wander_tau_s = half_tick * (1.0 + 1e-9);
+        cfg.validate().expect("tau just above tick/2 reverts");
     }
 }

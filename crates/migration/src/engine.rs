@@ -191,7 +191,7 @@ impl Mechanism {
         let mut link_seen = std::mem::take(&mut arena.link_seen);
         let cfg = sim.config;
         let vm = sim.cluster.vm(sim.migrant).expect("migrant exists");
-        let migrant_ram_bytes = vm.memory.total_bytes();
+        let migrant_ram_bytes = vm.spec.ram_bytes();
         let s = &sim.cluster.host(sim.source).spec;
         let t = &sim.cluster.host(sim.target).spec;
         assert_eq!(

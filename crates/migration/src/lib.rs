@@ -10,7 +10,7 @@
 //!   threshold / round cap / non-convergence stall, then stop-and-copy the
 //!   final dirty set. With hot memory workloads the stall rule fires early
 //!   and live migration degenerates to a long stop-and-copy — the paper's
-//!   observation that "the live migration [turns] into a non-live one"
+//!   observation that "the live migration \[turns\] into a non-live one"
 //!   (§VI-D).
 //!
 //! The engine couples transfer bandwidth to CPU availability on both

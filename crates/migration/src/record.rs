@@ -121,14 +121,6 @@ impl MigrationRecord {
         self.samples.iter().filter(|s| s.phase == phase).collect()
     }
 
-    /// Samples inside the migration window `[ms, me)`.
-    pub fn migration_samples(&self) -> Vec<&FeatureSample> {
-        self.samples
-            .iter()
-            .filter(|s| s.phase != MigrationPhase::NormalExecution)
-            .collect()
-    }
-
     /// Number of pre-copy rounds before the stop-and-copy pass.
     pub fn precopy_rounds(&self) -> usize {
         self.rounds.iter().filter(|r| !r.stop_and_copy).count()
@@ -244,7 +236,6 @@ mod tests {
     fn phase_filters() {
         let r = dummy_record();
         assert_eq!(r.samples_in_phase(MigrationPhase::Transfer).len(), 1);
-        assert_eq!(r.migration_samples().len(), 1);
         assert_eq!(r.samples_in_phase(MigrationPhase::Initiation).len(), 0);
     }
 

@@ -211,6 +211,13 @@ impl MigrationSimulation {
     /// case: some live runs that would finish are rejected too, such as a
     /// 95 %-dirty 4 GiB guest capped at 3 MB/s, which sends about two
     /// images inside the horizon.
+    ///
+    /// A post-copy guest must resume on the target before its image can
+    /// have crossed at the best rate, so that every run resumes it: the
+    /// handover plus one tick must be shorter than that crossing (34.4 s
+    /// for 4 GiB on the gigabit link). This is a worst case too: a real
+    /// transfer runs below the line rate, so handovers of about 34.3–40 s,
+    /// which still resume the guest in time, are rejected as well.
     pub fn try_new(
         cluster: Cluster,
         workloads: BTreeMap<VmId, Arc<dyn Workload>>,
@@ -244,7 +251,7 @@ impl MigrationSimulation {
         }
         // If the stream takes `secs` to cross, can its last tick still start
         // before the horizon? Both checks assume the best rate.
-        let bytes = precopy_bound_bytes(&config, vm.memory.total_bytes(), &workloads, migrant);
+        let bytes = precopy_bound_bytes(&config, vm.spec.ram_bytes(), &workloads, migrant);
         let past_horizon = |secs: f64| {
             let last_tick = config
                 .timing
@@ -257,15 +264,27 @@ impl MigrationSimulation {
         if let Some(why) = cap.and_then(|cap| past_horizon(bytes / cap)) {
             return Err(Wavm3Error::invalid_config("precopy.rate_limit_bps", why));
         }
+        // The best rate is the line's, or the cap below it.
+        let line = cluster.link.line_rate_bps;
+        let best = cap.map_or(line, |cap| cap.min(line));
+        if config.kind == MigrationKind::PostCopy {
+            let resume = config.timing.postcopy_handover + config.timing.tick;
+            let crossing = vm.spec.ram_bytes() as f64 / best;
+            if resume.as_secs_f64() >= crossing {
+                let why = format!(
+                    "the handover plus a tick ({resume}) must be shorter than the image's \
+                     fastest crossing ({crossing:.1} s)"
+                );
+                return Err(Wavm3Error::invalid_config("timing.postcopy_handover", why));
+            }
+        }
         // Link windows can stall the stream: time spent under windows runs
         // at a bandwidth factor of `min_factor` at worst, so `d` of it costs
         // `d·(1 − min_factor)` at most. The windows start in `[earliest,
         // latest]`, so they cover at most `latest − earliest + max_duration`
-        // between them. The best rate is the line's, or the cap below it.
+        // between them.
         let link = config.faults.link;
         if link.mean_windows > 0.0 {
-            let line = cluster.link.line_rate_bps;
-            let best = cap.map_or(line, |cap| cap.min(line));
             let longest = link.max_duration.as_secs_f64();
             let covered = (link.max_windows as f64 * longest)
                 .min(link.latest.saturating_since(link.earliest).as_secs_f64() + longest);
@@ -849,7 +868,11 @@ mod tests {
     /// tick lands on the horizon), a 4,000 s initiation, a 4,000 s tail,
     /// a 1 MB/s cap for the 4 GiB migrant, and a certain 4,000 s link
     /// outage at 13 s. Each is a config error on both paths; at 2 MB/s the
-    /// image crosses in time and the run ends.
+    /// image crosses in time and the run ends. So are configs that ran to
+    /// a wrong result: a 40 ms wander time constant (the wander diverged to
+    /// ~10⁹⁶ J), and post-copy handovers of 3,000 s and 45 s (the guest was
+    /// never resumed on the analytic path and the record read 0 s of
+    /// downtime).
     #[test]
     fn configs_that_cannot_fit_the_horizon_are_config_errors() {
         type Edit = fn(&mut MigrationConfig);
@@ -889,7 +912,7 @@ mod tests {
         const fn secs(s: u64) -> SimDuration {
             SimDuration::from_secs(s)
         }
-        let probes: [(&str, Edit); 6] = [
+        let probes: [(&str, Edit); 9] = [
             ("timing", |c| c.timing.tick = secs(5_000)),
             ("timing", |c| c.timing.tick = secs(1_800)),
             ("timing", |c| c.timing.initiation = secs(4_000)),
@@ -911,6 +934,17 @@ mod tests {
                     earliest: SimTime::from_secs(13),
                     latest: SimTime::from_secs(13),
                 }
+            }),
+            ("env_noise.wander_tau_s", |c| {
+                c.env_noise.wander_tau_s = 0.04
+            }),
+            ("timing.postcopy_handover", |c| {
+                c.kind = MigrationKind::PostCopy;
+                c.timing.postcopy_handover = secs(3_000);
+            }),
+            ("timing.postcopy_handover", |c| {
+                c.kind = MigrationKind::PostCopy;
+                c.timing.postcopy_handover = secs(45);
             }),
         ];
         for path in [SimulationPath::Analytic, SimulationPath::Sampled] {
@@ -936,6 +970,15 @@ mod tests {
                 .expect("4 GiB at 2 MB/s crosses in time")
                 .run();
             assert!(r.phases.me < HORIZON, "{path:?}: me {}", r.phases.me);
+            // A 30 s handover resumes the guest before its image can have
+            // crossed (34.4 s), and the record reads exactly that downtime.
+            let r = build(path, |c| {
+                c.kind = MigrationKind::PostCopy;
+                c.timing.postcopy_handover = secs(30);
+            })
+            .expect("a 30 s handover ends before the crossing")
+            .run();
+            assert_eq!(r.downtime, secs(30), "{path:?}");
             // Eight certain 500 s outages that all start in [13 s, 60 s]
             // cover 547 s between them, not 4,000 s.
             let r = build(path, |c| {

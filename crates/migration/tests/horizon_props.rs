@@ -1,5 +1,11 @@
 //! Every config `MigrationSimulation::try_new` accepts runs to completion
-//! inside the horizon; the rest are config errors, never panics.
+//! inside the horizon, with finite energies and, for post-copy, a resumed
+//! guest; the rest are config errors, never panics.
+//!
+//! The post-copy guest is suspended on the first tick at or after the
+//! transfer start `ts` and resumed on the first tick at or after `ts` plus
+//! the handover. So its downtime is in `[handover, handover + tick)` when
+//! `ts` falls on a tick, and within a tick of the handover otherwise.
 //!
 //! The hosts are idle on purpose: `try_new` prices the crossing at the
 //! best rate (the cap, or the line), which a saturated host does not
@@ -31,6 +37,9 @@ proptest! {
         stall_ratio in (0.0f64..=1.0).prop_filter("stall_ratio > 0", |r| *r > 0.0),
         max_rounds in 1usize..=60,
         tick_ms in 50u64..=1_000,
+        // Log-uniform over 0.1-3,000 s and 1 ms-60 s.
+        handover_s in (0.0f64..=1.0).prop_map(|u| 0.1 * 30_000f64.powf(u)),
+        wander_tau_s in (0.0f64..=1.0).prop_map(|u| 1e-3 * 60_000f64.powf(u)),
         seed in 0u64..10_000,
     ) {
         let kind = [MigrationKind::NonLive, MigrationKind::Live, MigrationKind::PostCopy][kind_sel];
@@ -57,6 +66,8 @@ proptest! {
         config.precopy.stall_ratio = stall_ratio;
         config.precopy.max_rounds = max_rounds;
         config.timing.tick = SimDuration::from_millis(tick_ms);
+        config.timing.postcopy_handover = SimDuration::from_secs_f64(handover_s);
+        config.env_noise.wander_tau_s = wander_tau_s;
         match MigrationSimulation::try_new(
             cluster,
             workloads,
@@ -70,6 +81,18 @@ proptest! {
             Ok(sim) => {
                 let r = sim.run();
                 prop_assert!(r.phases.me < HORIZON, "me {} past the horizon", r.phases.me);
+                let (source_j, target_j) = (r.source_energy.total_j(), r.target_energy.total_j());
+                prop_assert!(source_j.is_finite() && target_j.is_finite(), "{source_j} J, {target_j} J");
+                if kind == MigrationKind::PostCopy {
+                    let (handover, tick) = (config.timing.postcopy_handover, config.timing.tick);
+                    let late = handover + tick;
+                    prop_assert!(r.downtime < late, "downtime {} past {late}", r.downtime);
+                    if r.phases.ts.as_micros() % tick.as_micros() == 0 {
+                        prop_assert!(r.downtime >= handover, "downtime {} under {handover}", r.downtime);
+                    } else {
+                        prop_assert!(r.downtime + tick > handover, "downtime {} a tick short of {handover}", r.downtime);
+                    }
+                }
             }
         }
     }

@@ -9,9 +9,9 @@
 //! ```
 //!
 //! All three reduce to the same five-coefficient linear form over the
-//! masked [`PhaseVector`](crate::features::PhaseVector) — in the initiation
-//! and activation phases the bandwidth and dirty-ratio features are
-//! structurally zero, so their coefficients are inert.
+//! masked [`PhaseVector`] — in the initiation and activation phases the
+//! bandwidth and dirty-ratio features are structurally zero, so their
+//! coefficients are inert.
 
 use crate::features::{HostRole, PhaseVector};
 use crate::model::{integrate_power, EnergyModel, PowerModel, SAMPLE_PERIOD_S};

@@ -3,7 +3,7 @@
 //! Observability layer for the WAVM3 workspace, built around the same
 //! determinism contract as everything else in simkit: **trace output is a
 //! pure function of the seeds**, bit-identical across rayon thread counts,
-//! because every event is stamped with [`SimTime`] (never the wall clock)
+//! because every event is stamped with `SimTime` (never the wall clock)
 //! and events are grouped into per-run buffers that are merged in a
 //! deterministic key order, not in thread-completion order.
 //!

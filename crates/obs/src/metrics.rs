@@ -367,7 +367,7 @@ impl Registry {
     /// `pinned` exemplars (errors) all survive — every one of them is a
     /// required join key for the correlation checker; unpinned ones
     /// (tail latencies) keep only the latest per bucket. Past
-    /// [`EXEMPLAR_CAP`] the oldest unpinned exemplar is evicted first
+    /// `EXEMPLAR_CAP` the oldest unpinned exemplar is evicted first
     /// (then the oldest pinned), and each eviction increments the
     /// `obs.exemplars.evicted` counter so truncation is visible.
     pub fn observe_with_exemplar(

@@ -2,10 +2,10 @@
 //!
 //! This plays the role of physics in the reproduction: the "real" power a
 //! meter would observe. It is parameterised by the machine's
-//! [`PowerProfile`](wavm3_cluster::PowerProfile) and the host's live
-//! resource state. Every candidate model (WAVM3 and the baselines) is a
-//! *simplification* of this function, exactly as the paper's linear models
-//! are simplifications of real server physics:
+//! [`PowerProfile`] and the host's live resource state. Every candidate
+//! model (WAVM3 and the baselines) is a *simplification* of this function,
+//! exactly as the paper's linear models are simplifications of real server
+//! physics:
 //!
 //! * the CPU term is mildly nonlinear (`u^exponent`) while all models
 //!   assume linearity;

@@ -75,11 +75,6 @@ impl TelemetryRecorder {
         self.channels.get(channel).and_then(|s| s.sample_at(t))
     }
 
-    /// All channel names in deterministic order.
-    pub fn channel_names(&self) -> Vec<&str> {
-        self.channels.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Number of channels.
     pub fn len(&self) -> usize {
         self.channels.len()
@@ -102,6 +97,7 @@ mod tests {
         t.record(channels::CPU_SOURCE, SimTime::from_secs(2), 0.75);
         assert_eq!(t.value_at(channels::CPU_SOURCE, SimTime::from_secs(1)), 0.5);
         assert_eq!(t.channel(channels::CPU_SOURCE).unwrap().len(), 2);
+        assert_eq!(t.len(), 1, "one channel, two samples");
     }
 
     #[test]
@@ -124,16 +120,6 @@ mod tests {
         // ...while a never-recorded channel is None, not a silent 0.0.
         assert_eq!(t.try_value_at(channels::BANDWIDTH, SimTime::ZERO), None);
         assert_eq!(t.value_at(channels::BANDWIDTH, SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn channel_names_are_sorted() {
-        let mut t = TelemetryRecorder::new();
-        t.record("zzz", SimTime::ZERO, 1.0);
-        t.record("aaa", SimTime::ZERO, 1.0);
-        t.record("mmm", SimTime::ZERO, 1.0);
-        assert_eq!(t.channel_names(), vec!["aaa", "mmm", "zzz"]);
-        assert_eq!(t.len(), 3);
     }
 
     #[test]

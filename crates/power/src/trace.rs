@@ -41,11 +41,6 @@ impl PowerTrace {
         self.series.integrate_between(from, to)
     }
 
-    /// Total energy in joules across the whole trace.
-    pub fn total_energy(&self) -> f64 {
-        self.series.integrate()
-    }
-
     /// Mean power over `[from, to]`, if any samples fall inside.
     pub fn mean_power_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
         self.series.mean_between(from, to)
@@ -72,7 +67,7 @@ mod tests {
         tr.record(SimTime::from_secs(0), 500.0);
         tr.record(SimTime::from_secs(10), 500.0);
         assert_eq!(tr.len(), 2);
-        assert!((tr.total_energy() - 5000.0).abs() < 1e-9);
+        assert!((tr.energy_between(SimTime::ZERO, SimTime::from_secs(10)) - 5000.0).abs() < 1e-9);
         assert!(
             (tr.energy_between(SimTime::from_secs(2), SimTime::from_secs(4)) - 1000.0).abs() < 1e-9
         );
@@ -97,7 +92,7 @@ mod tests {
     fn empty_trace() {
         let tr = PowerTrace::new("o1");
         assert!(tr.is_empty());
-        assert_eq!(tr.total_energy(), 0.0);
+        assert_eq!(tr.energy_between(SimTime::ZERO, SimTime::from_secs(1)), 0.0);
         assert_eq!(
             tr.mean_power_between(SimTime::ZERO, SimTime::from_secs(1)),
             None

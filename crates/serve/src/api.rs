@@ -305,12 +305,6 @@ pub struct ErrorResponse {
 }
 
 impl ErrorResponse {
-    /// Serialise to the JSON body without request context (startup /
-    /// test paths that have no trace).
-    pub fn body(error: &str, detail: impl Into<String>) -> String {
-        Self::with_context(error, detail, "-", "-", "-")
-    }
-
     /// Serialise to the JSON body with full correlation context.
     pub fn with_context(
         error: &str,
@@ -424,8 +418,9 @@ mod tests {
         ] {
             assert!(body.contains(needle), "{body}");
         }
-        // The context-free helper still renders placeholders.
-        assert!(ErrorResponse::body("bad_request", "x").contains("\"trace_id\":\"-\""));
+        // Placeholders render as given.
+        let body = ErrorResponse::with_context("bad_request", "x", "-", "-", "-");
+        assert!(body.contains("\"trace_id\":\"-\""), "{body}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Default for RetryConfig {
 impl RetryConfig {
     /// Reject zero attempts and NaN / non-finite / negative backoff
     /// parameters — the same config-error discipline (exit code 2) as
-    /// the simulated [`wavm3_faults::RetryPolicy`].
+    /// the simulated `wavm3_faults::RetryPolicy`.
     pub fn validate(&self) -> Result<(), Wavm3Error> {
         if self.max_attempts == 0 {
             return Err(Wavm3Error::invalid_config(

@@ -279,19 +279,6 @@ impl ServerHandle {
         self.shared.telemetry.drift_states()
     }
 
-    /// Timing-free canonical projection of the sampled traces so far
-    /// (`None` when tracing is disarmed). Only complete after
-    /// [`join`](Self::join)-style quiescence — a response can reach the
-    /// client a beat before its trace record lands in the collector.
-    pub fn canonical_trace_export(&self) -> Option<String> {
-        self.shared.telemetry.canonical_export()
-    }
-
-    /// JSONL span export (`None` when tracing is disarmed).
-    pub fn trace_jsonl(&self) -> Option<String> {
-        self.shared.telemetry.jsonl_export()
-    }
-
     /// Begin graceful shutdown without waiting: the accept loop stops,
     /// queued and in-flight requests keep draining.
     pub fn shutdown(&self) {

@@ -261,17 +261,6 @@ impl Telemetry {
             .to_prometheus_text_with_exemplars(&registry.exemplars())
     }
 
-    /// Timing-free canonical projection of the sampled traces (the
-    /// determinism surface), `None` when tracing is disarmed.
-    pub fn canonical_export(&self) -> Option<String> {
-        self.collector.as_ref().map(|c| c.export_canonical())
-    }
-
-    /// JSONL span export, `None` when tracing is disarmed.
-    pub fn jsonl_export(&self) -> Option<String> {
-        self.collector.as_ref().map(|c| c.export_jsonl())
-    }
-
     /// Drain-time export: flush the access log, stamp the sampling
     /// totals into counters, and write `spans.jsonl` / `trace.json` /
     /// `canonical.txt` under the configured trace-out directory.

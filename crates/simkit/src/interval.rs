@@ -45,11 +45,6 @@ impl Interval {
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
     }
-
-    /// `true` when the two intervals share at least one instant.
-    pub fn overlaps(&self, other: &Interval) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 #[cfg(test)]
@@ -74,13 +69,6 @@ mod tests {
         assert_eq!(iv(2, 5).duration(), SimDuration::from_secs(3));
         assert!(iv(3, 3).is_empty());
         assert!(!iv(3, 3).contains(SimTime::from_secs(3)));
-    }
-
-    #[test]
-    fn overlap_cases() {
-        assert!(iv(0, 4).overlaps(&iv(3, 6)));
-        assert!(!iv(0, 3).overlaps(&iv(3, 6)), "touching is not overlapping");
-        assert!(iv(1, 9).overlaps(&iv(4, 5)), "containment overlaps");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Periodic schedules — grid-aligned instants for samplers and monitors.
 //!
-//! The power meters (2 Hz), the telemetry sampler, and the figure
-//! resamplers all walk fixed time grids; [`PeriodicSchedule`] is that grid
-//! as an iterator, with helpers for "how many instants fall inside this
-//! window" bookkeeping.
+//! The power meters (2 Hz) and the telemetry sampler walk fixed time
+//! grids; [`PeriodicSchedule`] names such a grid, so that a test or an
+//! example can state where its instants fall.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -39,37 +38,6 @@ impl PeriodicSchedule {
                 .saturating_add(n.saturating_mul(self.period.as_micros())),
         )
     }
-
-    /// The first grid instant at or after `t`.
-    pub fn next_at_or_after(&self, t: SimTime) -> SimTime {
-        if t <= self.start {
-            return self.start;
-        }
-        let offset = t.as_micros() - self.start.as_micros();
-        let p = self.period.as_micros();
-        let n = offset.div_ceil(p);
-        self.instant(n)
-    }
-
-    /// Number of grid instants in the closed interval `[from, to]`.
-    pub fn count_between(&self, from: SimTime, to: SimTime) -> u64 {
-        if to < from {
-            return 0;
-        }
-        let first = self.next_at_or_after(from);
-        if first > to {
-            return 0;
-        }
-        (to.as_micros() - first.as_micros()) / self.period.as_micros() + 1
-    }
-
-    /// Iterate the instants inside `[from, to]`.
-    pub fn iter_between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = SimTime> + '_ {
-        let first = self.next_at_or_after(from);
-        let n = self.count_between(from, to);
-        let p = self.period;
-        (0..n).map(move |k| first + SimDuration::from_micros(k * p.as_micros()))
-    }
 }
 
 #[cfg(test)]
@@ -89,63 +57,10 @@ mod tests {
     }
 
     #[test]
-    fn next_at_or_after_lands_on_grid() {
-        let g = grid();
-        assert_eq!(g.next_at_or_after(SimTime::ZERO), SimTime::ZERO);
-        assert_eq!(
-            g.next_at_or_after(SimTime::from_millis(1)),
-            SimTime::from_millis(500)
-        );
-        assert_eq!(
-            g.next_at_or_after(SimTime::from_millis(500)),
-            SimTime::from_millis(500)
-        );
-        assert_eq!(
-            g.next_at_or_after(SimTime::from_millis(501)),
-            SimTime::from_millis(1000)
-        );
-    }
-
-    #[test]
-    fn count_matches_iteration() {
-        let g = grid();
-        let from = SimTime::from_millis(700);
-        let to = SimTime::from_millis(3200);
-        let instants: Vec<SimTime> = g.iter_between(from, to).collect();
-        assert_eq!(instants.len() as u64, g.count_between(from, to));
-        // 1000, 1500, 2000, 2500, 3000.
-        assert_eq!(instants.len(), 5);
-        assert_eq!(instants[0], SimTime::from_millis(1000));
-        assert_eq!(instants[4], SimTime::from_millis(3000));
-    }
-
-    #[test]
-    fn inverted_and_empty_windows() {
-        let g = grid();
-        assert_eq!(
-            g.count_between(SimTime::from_secs(5), SimTime::from_secs(1)),
-            0
-        );
-        assert_eq!(
-            g.count_between(SimTime::from_millis(501), SimTime::from_millis(999)),
-            0
-        );
-        assert_eq!(
-            g.iter_between(SimTime::from_secs(5), SimTime::from_secs(1))
-                .count(),
-            0
-        );
-    }
-
-    #[test]
     fn offset_grids() {
         let g = PeriodicSchedule::new(SimTime::from_millis(250), SimDuration::from_millis(100));
+        assert_eq!(g.instant(0), SimTime::from_millis(250));
         assert_eq!(g.instant(1), SimTime::from_millis(350));
-        assert_eq!(g.next_at_or_after(SimTime::ZERO), SimTime::from_millis(250));
-        assert_eq!(
-            g.count_between(SimTime::from_millis(250), SimTime::from_millis(550)),
-            4
-        );
     }
 
     #[test]
@@ -156,8 +71,9 @@ mod tests {
 
     #[test]
     fn meter_grid_matches_sim_expectations() {
-        // A 60-second trace at 2 Hz holds 121 samples (inclusive ends).
+        // A 60-second trace at 2 Hz holds 121 samples (inclusive ends):
+        // the last lands on 60 s exactly.
         let g = PeriodicSchedule::two_hz();
-        assert_eq!(g.count_between(SimTime::ZERO, SimTime::from_secs(60)), 121);
+        assert_eq!(g.instant(120), SimTime::from_secs(60));
     }
 }

@@ -30,8 +30,7 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Count one [`RngFactory::stream`](crate::RngFactory::stream) (or
-/// `seed_for`) derivation.
+/// Count one [`RngFactory::stream`](crate::RngFactory::stream) derivation.
 #[inline]
 pub(crate) fn note_stream() {
     if armed() {
@@ -91,14 +90,14 @@ mod tests {
 
         set_armed(true);
         let _ = f.stream("a");
-        let _ = f.seed_for("b");
+        let _ = f.stream("b");
         let _ = f.counter_stream("c");
         let _ = f.child(1);
         set_armed(false);
 
         let counts = snapshot();
         assert_eq!(counts[0].0, "simkit.rng.stream");
-        assert!(counts[0].1 >= 2, "stream + seed_for: {counts:?}");
+        assert!(counts[0].1 >= 2, "two streams: {counts:?}");
         assert!(counts[1].1 >= 1, "{counts:?}");
         assert!(counts[2].1 >= 1, "{counts:?}");
         reset();

@@ -54,16 +54,11 @@ impl RngFactory {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
-    /// Convenience: one `u64` drawn from the named stream.
-    pub fn seed_for(&self, label: &str) -> u64 {
-        self.stream(label).next_u64()
-    }
-
     /// A named *counter-based* stream: a stateless generator whose `n`-th
     /// draw is a pure function of `(root_seed, label, n)`.
     ///
     /// Unlike [`RngFactory::stream`], a [`CounterRng`] can be re-created at
-    /// any point and fast-forwarded with [`CounterRng::set_position`], so
+    /// any point and read at any index with [`CounterRng::draw_at`], so
     /// analytic fast paths can consume exactly as many draws as they need
     /// per migration without threading mutable RNG state through the
     /// computation — and the draws are identical regardless of rayon
@@ -90,17 +85,7 @@ impl CounterRng {
         CounterRng { key, counter: 0 }
     }
 
-    /// Index of the next draw.
-    pub fn position(&self) -> u64 {
-        self.counter
-    }
-
-    /// Jump to an absolute draw index (forward or backward).
-    pub fn set_position(&mut self, counter: u64) {
-        self.counter = counter;
-    }
-
-    /// The draw at absolute index `n`, without touching the position.
+    /// The draw at absolute index `n`, without advancing the stream.
     pub fn draw_at(&self, n: u64) -> u64 {
         // Weyl-sequence input, then the splitmix64 finalizer: the standard
         // construction for a counter-based stream with full 64-bit state.
@@ -200,7 +185,7 @@ mod tests {
     #[test]
     fn nearby_child_indices_diverge_strongly() {
         let f = RngFactory::new(0);
-        let vals: Vec<u64> = (0..64).map(|i| f.child(i).seed_for("s")).collect();
+        let vals: Vec<u64> = (0..64).map(|i| f.child(i).stream("s").next_u64()).collect();
         let mut sorted = vals.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -249,10 +234,6 @@ mod tests {
         for (n, &expect) in sequential.iter().enumerate() {
             assert_eq!(frozen.draw_at(n as u64), expect, "draw {n}");
         }
-        let mut jump = f.counter_stream("s");
-        jump.set_position(31);
-        assert_eq!(jump.next_u64(), sequential[31]);
-        assert_eq!(jump.position(), 32);
     }
 
     #[test]

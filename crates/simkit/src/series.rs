@@ -3,10 +3,10 @@
 //! The workhorse container for power traces and telemetry: a sequence of
 //! `(SimTime, f64)` samples with non-decreasing timestamps, plus the
 //! numerical operations the paper's methodology needs — trapezoidal
-//! integration (power → energy), windowed statistics, resampling, and the
-//! Voltech-style stabilisation test.
+//! integration (power → energy), windowed statistics, interpolation, and
+//! the Voltech-style stabilisation test.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A time-ordered sequence of scalar samples.
@@ -200,22 +200,6 @@ impl TimeSeries {
         Some((lo, hi))
     }
 
-    /// Resample onto a uniform grid of `period` starting at the first
-    /// timestamp, by linear interpolation. Empty input gives empty output.
-    pub fn resample(&self, period: SimDuration) -> TimeSeries {
-        assert!(!period.is_zero(), "resample period must be positive");
-        let mut out = TimeSeries::new();
-        let (Some(start), Some(end)) = (self.start(), self.end()) else {
-            return out;
-        };
-        let mut t = start;
-        while t <= end {
-            out.push(t, self.sample_at(t).expect("non-empty"));
-            t += period;
-        }
-        out
-    }
-
     /// The paper's measurement-stabilisation rule: `true` when the last
     /// `window` samples all lie within `tolerance` *relative* spread, i.e.
     /// `(max - min) / |mean| <= tolerance`.
@@ -250,28 +234,6 @@ impl TimeSeries {
             }
         }
         out
-    }
-
-    /// Centred moving average over `window` samples (odd windows are
-    /// symmetric; even windows lean one sample into the past). Timestamps
-    /// are preserved. A window of 0 or 1 returns a clone.
-    pub fn smooth(&self, window: usize) -> TimeSeries {
-        if window <= 1 || self.is_empty() {
-            return self.clone();
-        }
-        let half = window / 2;
-        let n = self.len();
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            let lo = i.saturating_sub(half);
-            let hi = (i + window - half).min(n);
-            let slice = &self.values[lo..hi];
-            values.push(slice.iter().sum::<f64>() / slice.len() as f64);
-        }
-        TimeSeries {
-            times: self.times.clone(),
-            values,
-        }
     }
 
     /// Shift every timestamp so the series starts at `t = 0`.
@@ -385,14 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_grid() {
-        let s = TimeSeries::from_parts(vec![secs(0), secs(4)], vec![0.0, 4.0]);
-        let r = s.resample(SimDuration::from_secs(1));
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.values(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn slice_and_rebase() {
         let s = TimeSeries::from_parts(vec![secs(5), secs(6), secs(7)], vec![1.0, 2.0, 3.0]);
         let cut = s.slice(secs(6), secs(7));
@@ -400,29 +354,6 @@ mod tests {
         let rb = cut.rebase();
         assert_eq!(rb.start(), Some(SimTime::ZERO));
         assert_eq!(rb.end(), Some(secs(1)));
-    }
-
-    #[test]
-    fn smoothing_preserves_constants_and_flattens_noise() {
-        let mut s = TimeSeries::new();
-        for i in 0..40u64 {
-            s.push(
-                SimTime::from_millis(i * 500),
-                if i % 2 == 0 { 90.0 } else { 110.0 },
-            );
-        }
-        let sm = s.smooth(4);
-        assert_eq!(sm.len(), s.len());
-        assert_eq!(sm.times(), s.times());
-        // Interior points average to ~100.
-        for &v in &sm.values()[4..36] {
-            assert!((v - 100.0).abs() < 6.0, "{v}");
-        }
-        // Degenerate windows are identity.
-        assert_eq!(s.smooth(0), s);
-        assert_eq!(s.smooth(1), s);
-        let c = TimeSeries::from_parts(vec![secs(0), secs(1)], vec![5.0, 5.0]);
-        assert_eq!(c.smooth(3).values(), &[5.0, 5.0]);
     }
 
     #[test]

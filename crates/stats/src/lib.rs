@@ -21,16 +21,14 @@
 //! assert!(nrmse(&pred, &y) < 1e-12);
 //! ```
 
-pub mod correlation;
 pub mod descriptive;
 pub mod matrix;
 pub mod metrics;
 pub mod nlls;
 pub mod ols;
 
-pub use correlation::{covariance, pearson, spearman};
 pub use descriptive::{Summary, VarianceStopper};
 pub use matrix::Matrix;
 pub use metrics::{mae, max_abs_error, nrmse, nrmse_range, r_squared, rmse, ErrorReport};
 pub use nlls::{levenberg_marquardt, LmOptions, LmOutcome};
-pub use ols::{coefficient_standard_errors, fit_ols, OlsFit};
+pub use ols::{fit_ols, OlsFit};

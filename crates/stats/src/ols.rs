@@ -28,11 +28,6 @@ impl OlsFit {
             .map(|(x, b)| x * b)
             .sum()
     }
-
-    /// Predict for many rows.
-    pub fn predict_matrix(&self, x: &Matrix) -> Vec<f64> {
-        x.matvec(&self.coefficients)
-    }
 }
 
 /// Fit `y ≈ X β` by QR least squares. Returns `None` when `X` is
@@ -46,33 +41,6 @@ pub fn fit_ols(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
         coefficients,
         training_error,
     })
-}
-
-/// Standard errors of OLS coefficients: `se_j = sqrt(σ̂² · (XᵀX)⁻¹_jj)`
-/// with `σ̂² = SSR / (n − p)`.
-///
-/// Returns `None` for rank-deficient designs or when there are no residual
-/// degrees of freedom (`n ≤ p`). Computed by solving `XᵀX e_j = u_j` per
-/// column via Cholesky (no explicit inverse).
-pub fn coefficient_standard_errors(x: &Matrix, y: &[f64], fit: &OlsFit) -> Option<Vec<f64>> {
-    let n = x.rows();
-    let p = x.cols();
-    if n <= p {
-        return None;
-    }
-    let pred = fit.predict_matrix(x);
-    let ssr: f64 = pred.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum();
-    let sigma2 = ssr / (n - p) as f64;
-    let gram = x.gram();
-    let mut out = Vec::with_capacity(p);
-    for j in 0..p {
-        let mut unit = vec![0.0; p];
-        unit[j] = 1.0;
-        let col = gram.solve_spd(&unit)?;
-        let var = sigma2 * col[j];
-        out.push(var.max(0.0).sqrt());
-    }
-    Some(out)
 }
 
 /// Prepend an intercept column of ones to raw feature rows.
@@ -138,59 +106,6 @@ mod tests {
         let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let x = Matrix::from_nested(rows);
         assert!(fit_ols(&x, &y).is_none());
-    }
-
-    #[test]
-    fn predict_matrix_matches_scalar_predict() {
-        let rows = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let x = design_with_intercept(&rows);
-        let fit = fit_ols(&x, &[3.0, 5.0, 7.0]).unwrap();
-        let batch = fit.predict_matrix(&x);
-        for (i, row) in rows.iter().enumerate() {
-            let mut feats = vec![1.0];
-            feats.extend(row);
-            assert!((batch[i] - fit.predict(&feats)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn standard_errors_shrink_with_sample_size() {
-        // y = 1 + 2x + deterministic ±0.5 dither.
-        let make = |n: usize| {
-            let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 * 0.1]).collect();
-            let y: Vec<f64> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| 1.0 + 2.0 * r[0] + if i % 2 == 0 { 0.5 } else { -0.5 })
-                .collect();
-            let x = design_with_intercept(&rows);
-            let fit = fit_ols(&x, &y).unwrap();
-            coefficient_standard_errors(&x, &y, &fit).unwrap()
-        };
-        let se_small = make(20);
-        let se_big = make(200);
-        assert_eq!(se_small.len(), 2);
-        assert!(se_big[0] < se_small[0], "{se_big:?} vs {se_small:?}");
-        assert!(se_big[1] < se_small[1]);
-        assert!(se_small.iter().all(|s| *s > 0.0));
-    }
-
-    #[test]
-    fn standard_errors_zero_for_exact_fit() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = rows.iter().map(|r| 3.0 + 4.0 * r[0]).collect();
-        let x = design_with_intercept(&rows);
-        let fit = fit_ols(&x, &y).unwrap();
-        let se = coefficient_standard_errors(&x, &y, &fit).unwrap();
-        assert!(se.iter().all(|s| *s < 1e-8), "{se:?}");
-    }
-
-    #[test]
-    fn standard_errors_need_residual_dof() {
-        // n == p: fit is exact, but no degrees of freedom remain for σ².
-        let x2 = design_with_intercept(&[vec![1.0], vec![2.0]]);
-        let fit2 = fit_ols(&x2, &[1.0, 2.0]).unwrap();
-        assert!(coefficient_standard_errors(&x2, &[1.0, 2.0], &fit2).is_none());
     }
 
     #[test]

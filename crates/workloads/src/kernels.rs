@@ -1,7 +1,7 @@
 //! Real, executable versions of the paper's two load generators.
 //!
-//! These run actual work on the local machine — they are what the examples
-//! and Criterion benches execute, standing in for the OpenMP `matrixmult`
+//! These run actual work on the local machine — they are what the
+//! `calibrate` example executes, standing in for the OpenMP `matrixmult`
 //! and ANSI-C `pagedirtier` binaries of the paper. The simulator never
 //! calls them (it uses the closed-form processes in [`crate::matmul`] and
 //! [`crate::pagedirtier`]); they exist to demonstrate the workloads and to
@@ -37,11 +37,6 @@ impl SquareMatrix {
             n,
             data: (0..n * n).map(|_| rng.gen::<f64>()).collect(),
         }
-    }
-
-    /// Side length.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Element access.
@@ -90,7 +85,7 @@ impl SquareMatrix {
         out
     }
 
-    /// Frobenius norm (handy as a cheap whole-matrix checksum in benches).
+    /// Frobenius norm (a cheap whole-matrix checksum).
     pub fn frobenius(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
@@ -149,7 +144,7 @@ impl PageDirtier {
         let start = page * self.page_size;
         let value = (self.writes_done & 0xFF) as u8;
         // Touch one byte per 64-byte cache line: enough to dirty the page
-        // while keeping the bench from being a pure memset.
+        // while keeping the walk from being a pure memset.
         let mut off = 0;
         while off < self.page_size {
             self.buffer[start + off] = value;

@@ -9,11 +9,13 @@
 //!   in random order (the memory-intensive load of the MEMLOAD family).
 //!
 //! This crate provides both **real executable kernels** (a rayon-parallel
-//! blocked matmul and a genuine page-dirtying buffer walker — used by the
-//! examples and benches, and to calibrate utilisation shapes) and
+//! blocked matmul and a genuine page-dirtying buffer walker, which the
+//! `calibrate` example runs to calibrate utilisation shapes) and
 //! **simulation processes** implementing the [`Workload`] trait consumed by
 //! the migration simulator: a CPU-demand function and a page-dirtying rate
-//! function of simulation time.
+//! function of simulation time. Each process states its demand as a
+//! constant, a ripple or a general curve ([`WorkloadProfile`]); a recorded
+//! trace replays through [`TraceWorkload`].
 //!
 //! ## Example
 //!
@@ -33,11 +35,9 @@ pub mod kernels;
 pub mod matmul;
 pub mod network;
 pub mod pagedirtier;
-pub mod synthetic;
 pub mod workload;
 
 pub use matmul::MatMulWorkload;
 pub use network::{MixedWorkload, NetworkWorkload};
 pub use pagedirtier::PageDirtierWorkload;
-pub use synthetic::{generate_utilisation, generate_workload, TraceSpec};
 pub use workload::{DemandProfile, IdleWorkload, TraceWorkload, Workload, WorkloadProfile};

@@ -7,7 +7,7 @@
 //!
 //! Because writes land uniformly at random inside the working set, the
 //! number of *distinct* dirty pages `d(t)` after the hypervisor clears the
-//! dirty bitmap follows the coupon-collector saturation
+//! dirty bitmap saturates as
 //!
 //! ```text
 //! d(t) = W · (1 − exp(−r·t / W))
@@ -15,7 +15,8 @@
 //!
 //! where `W` is the working-set page count and `r` the write rate. The
 //! simulated process exposes exactly `r` and `W`; the migration engine
-//! integrates the saturation per pre-copy round.
+//! steps the curve tick by tick, and the consolidation planner evaluates it
+//! in closed form.
 
 use crate::workload::{Workload, WorkloadProfile};
 use wavm3_simkit::SimTime;
@@ -51,16 +52,6 @@ impl PageDirtierWorkload {
     pub fn with_write_rate(mut self, rate: f64) -> Self {
         self.write_rate = rate.max(0.0);
         self
-    }
-
-    /// Expected distinct dirty pages after `elapsed_s` seconds of writing
-    /// into a clean bitmap, for a guest of `total_pages`.
-    pub fn expected_dirty_pages(&self, total_pages: u64, elapsed_s: f64) -> f64 {
-        let w = self.working_set_fraction * total_pages as f64;
-        if w < 1.0 || elapsed_s <= 0.0 || self.write_rate <= 0.0 {
-            return 0.0;
-        }
-        w * (1.0 - (-self.write_rate * elapsed_s / w).exp())
     }
 }
 
@@ -147,60 +138,5 @@ mod tests {
                 assert_eq!(p.line_share, Some(w.line_share(t)));
             }
         }
-    }
-
-    #[test]
-    fn dirty_saturation_approaches_working_set() {
-        let w = PageDirtierWorkload::with_ratio(0.5);
-        let total = 1_048_576; // 4 GiB of pages
-        let after_long = w.expected_dirty_pages(total, 600.0);
-        let ws = 0.5 * total as f64;
-        assert!(
-            (after_long - ws).abs() / ws < 1e-6,
-            "saturates at working set"
-        );
-        // Early in a round, dirtying is roughly linear at the write rate.
-        let after_short = w.expected_dirty_pages(total, 0.1);
-        let linear = 0.1 * PageDirtierWorkload::DEFAULT_WRITE_RATE;
-        assert!(
-            (after_short - linear).abs() / linear < 0.05,
-            "{after_short} vs {linear}"
-        );
-    }
-
-    #[test]
-    fn dirty_saturation_is_monotone_in_time() {
-        let w = PageDirtierWorkload::with_ratio(0.95);
-        let total = 1_000_000;
-        let mut prev = 0.0;
-        for s in 1..=30 {
-            let d = w.expected_dirty_pages(total, s as f64);
-            assert!(d >= prev);
-            prev = d;
-        }
-    }
-
-    #[test]
-    fn degenerate_inputs_are_zero() {
-        let w = PageDirtierWorkload::with_ratio(0.5);
-        assert_eq!(w.expected_dirty_pages(0, 10.0), 0.0);
-        assert_eq!(w.expected_dirty_pages(1_000, 0.0), 0.0);
-        assert_eq!(
-            PageDirtierWorkload::with_ratio(0.5)
-                .with_write_rate(0.0)
-                .expected_dirty_pages(1_000, 10.0),
-            0.0
-        );
-    }
-
-    #[test]
-    fn higher_ratio_dirties_more_for_same_duration() {
-        let total = 1_000_000;
-        let lo = PageDirtierWorkload::with_ratio(0.05).expected_dirty_pages(total, 30.0);
-        let hi = PageDirtierWorkload::with_ratio(0.95).expected_dirty_pages(total, 30.0);
-        assert!(
-            hi > lo * 2.0,
-            "95% ratio must dirty far more than 5%: {hi} vs {lo}"
-        );
     }
 }

@@ -53,11 +53,6 @@ impl DemandProfile {
             DemandProfile::General => None,
         }
     }
-
-    /// `true` when [`eval`](DemandProfile::eval) returns a value.
-    pub fn is_closed_form(&self) -> bool {
-        !matches!(self, DemandProfile::General)
-    }
 }
 
 /// Closed-form summary of a workload for the analytic fast path: the CPU
@@ -183,11 +178,6 @@ impl TraceWorkload {
             working_set: working_set.clamp(0.0, 1.0),
         }
     }
-
-    /// CPU-only trace.
-    pub fn cpu_only(name: impl Into<String>, cpu: TimeSeries) -> Self {
-        TraceWorkload::new(name, cpu, TimeSeries::new(), 0.0)
-    }
 }
 
 impl Workload for TraceWorkload {
@@ -224,7 +214,7 @@ mod tests {
         let mut cpu = TimeSeries::new();
         cpu.push(SimTime::from_secs(0), 1.0);
         cpu.push(SimTime::from_secs(10), 3.0);
-        let w = TraceWorkload::cpu_only("replay", cpu);
+        let w = TraceWorkload::new("replay", cpu, TimeSeries::new(), 0.0);
         assert_eq!(w.cpu_demand(SimTime::from_secs(5)), 2.0);
         // Flat extrapolation past the end of the trace.
         assert_eq!(w.cpu_demand(SimTime::from_secs(60)), 3.0);
@@ -242,17 +232,16 @@ mod tests {
 
     #[test]
     fn empty_trace_reads_zero() {
-        let w = TraceWorkload::cpu_only("empty", TimeSeries::new());
+        let w = TraceWorkload::new("empty", TimeSeries::new(), TimeSeries::new(), 0.0);
         assert_eq!(w.cpu_demand(SimTime::from_secs(1)), 0.0);
     }
 
     #[test]
     fn default_profile_is_general() {
-        let w = TraceWorkload::cpu_only("replay", TimeSeries::new());
+        let w = TraceWorkload::new("replay", TimeSeries::new(), TimeSeries::new(), 0.0);
         let p = w.demand_profile();
         assert_eq!(p.cpu, DemandProfile::General);
         assert_eq!(p.cpu.eval(SimTime::ZERO), None);
-        assert!(!p.cpu.is_closed_form());
         assert_eq!(p.page_write_rate, None);
         assert_eq!(p.line_share, None);
     }

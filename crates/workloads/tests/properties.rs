@@ -1,8 +1,7 @@
 //! Property-based tests of the workload processes.
 
 use proptest::prelude::*;
-use wavm3_simkit::{RngFactory, SimDuration, SimTime};
-use wavm3_workloads::synthetic::{generate_utilisation, TraceSpec};
+use wavm3_simkit::SimTime;
 use wavm3_workloads::{
     IdleWorkload, MatMulWorkload, MixedWorkload, NetworkWorkload, PageDirtierWorkload, Workload,
 };
@@ -90,45 +89,5 @@ proptest! {
         prop_assert!((mix.cpu_demand(t) - expect).abs() < 1e-9);
         prop_assert!(mix.working_set_fraction() <= 1.0);
         prop_assert!(mix.line_share(t) <= 1.0);
-    }
-
-    /// Synthetic traces respect their domain for any spec.
-    #[test]
-    fn synthetic_traces_stay_in_unit_interval(
-        mean in 0.0f64..1.0,
-        std_dev in 0.0f64..0.5,
-        tau in 1.0f64..1_000.0,
-        swing in 0.0f64..1.0,
-        seed in 0u64..500,
-    ) {
-        let spec = TraceSpec {
-            mean,
-            std_dev,
-            tau_s: tau,
-            diurnal_swing: swing,
-            sample_period: SimDuration::from_secs(30),
-        };
-        let mut rng = RngFactory::new(seed).stream("prop");
-        let t = generate_utilisation(&spec, SimDuration::from_secs(3_600), &mut rng);
-        prop_assert!(!t.is_empty());
-        let (lo, hi) = t.min_max().unwrap();
-        prop_assert!(lo >= 0.0 && hi <= 1.0, "{lo}..{hi}");
-    }
-
-    /// The pagedirtier's closed-form dirty estimate is monotone in time and
-    /// bounded by both its working set and the write budget.
-    #[test]
-    fn dirty_estimate_bounds(
-        ratio in 0.0f64..=1.0,
-        secs in 0.0f64..300.0,
-        total in 1u64..2_000_000,
-    ) {
-        let w = PageDirtierWorkload::with_ratio(ratio);
-        let d = w.expected_dirty_pages(total, secs);
-        prop_assert!(d >= 0.0);
-        prop_assert!(d <= ratio * total as f64 + 1e-6);
-        prop_assert!(d <= PageDirtierWorkload::DEFAULT_WRITE_RATE * secs + 1e-6);
-        let d2 = w.expected_dirty_pages(total, secs + 1.0);
-        prop_assert!(d2 + 1e-9 >= d);
     }
 }
